@@ -12,7 +12,6 @@ from .grid import (
     RandomBandlimitedData,
     SingleModeData,
     check_admissible,
-    e_vec,
     make_grid,
     make_initial,
 )
@@ -21,20 +20,16 @@ from .spectral import (
     compute_p,
     compute_rho,
     dealias,
-    deriv,
     forward,
     inverse,
-    laplacian_xi,
     poincare_constant,
 )
 from .dynamics import (
     RescaledSlice,
-    RescaleMap,
     Trajectory,
     cfl_dt,
     rescale_ell,
     rescale_field,
-    rescale_problem,
     rhs,
     run,
     step_imex,

@@ -13,25 +13,29 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
 from . import diagnostics as diag
 from .config import RunConfig, load_config
 from .diagnostics import truncation_energy
-from .dynamics import Trajectory, _step_spectral, cfl_dt
-from .errors import WindowTooShort
+from .dynamics import Trajectory, cfl_dt, march
 from .equilibrium import (
     kappa,
     peclet_threshold,
     solve_stationary,
     verify_small_pe_decay,
 )
-from .errors import ActiveFlowError, ConfigError, NotConverged, NumericalBlowup
+from .errors import (
+    ActiveFlowError,
+    ConfigError,
+    NotConverged,
+    NumericalBlowup,
+    ParseError,
+    WindowTooShort,
+)
 from .grid import Field3, make_initial
-from .oracle import OracleConfig, fd_run
-from .spectral import forward, poincare_constant
+from .spectral import poincare_constant
 from .storage import (
     SnapshotWriter,
     csv_header,
@@ -40,9 +44,7 @@ from .storage import (
     read_snapshot,
     write_checkpoint,
 )
-from .verification import FAIL, run_all
-from .dynamics import run as run_trajectory
-from .grid import Params, SingleModeData, make_grid
+from .verification import FAIL, oracle_equivalence, run_all
 
 
 def _json_safe(value):
@@ -63,10 +65,15 @@ def _emit_error(kind: str, message: str, **extra) -> None:
 def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     """Run a simulation, streaming diagnostics and snapshots to output_dir.
 
-    Resumes automatically from output_dir/checkpoint.bin when present (and
-    refuses if the checkpoint belongs to a different config). The
-    stop_after_steps hook halts after writing a checkpoint at that step; it
-    exists for interruption/resume testing and is not exposed on the CLI.
+    Consumes dynamics.march: every step appends one diagnostics.csv row, and
+    strided steps write a snapshot and join the truncation window. The CSV is
+    flushed before each checkpoint is written. Resumes automatically from
+    output_dir/checkpoint.bin when present; it refuses a checkpoint of a
+    different config, and raises ParseError (leaving the file as it is) when
+    diagnostics.csv lacks the frozen header or a row up to the checkpoint's
+    step. The stop_after_steps hook halts after writing a checkpoint at that
+    step; it exists for interruption/resume testing and is not exposed on
+    the CLI.
     """
     grid, params = config.grid, config.params
     os.makedirs(config.output_dir, exist_ok=True)
@@ -82,25 +89,24 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
         f_start, _, start_step = resume
         try:
             with open(csv_path, "r", encoding="utf-8") as fh:
-                kept = fh.read().splitlines()[: start_step + 2]  # header + rows
+                lines = fh.read().splitlines()
         except FileNotFoundError:
-            kept = [csv_header(config.k_max)]
+            lines = []
+        if len(lines) < start_step + 2 or lines[0] != csv_header(config.k_max):
+            raise ParseError(
+                f"{csv_path}: needs the header and {start_step + 1} rows to resume "
+                f"from checkpoint step {start_step}; found {len(lines)} lines"
+            )
         with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(kept) + "\n")
+            fh.write("\n".join(lines[: start_step + 2]) + "\n")  # header + rows
         csv_fh = open(csv_path, "a", encoding="utf-8")
     else:
         f_start, start_step = f0, 0
         csv_fh = open(csv_path, "w", encoding="utf-8")
         csv_fh.write(csv_header(config.k_max) + "\n")
 
-    if params.dt > cfl_dt(f_start, params):
-        warnings.warn(
-            "time step exceeds the advective CFL bound", RuntimeWarning, stacklevel=2
-        )
-
     mean0 = f_start.mean()
     writer = SnapshotWriter()
-    n_total = grid.n_x * grid.n_x * grid.n_theta
 
     def snap_path(step: int) -> str:
         return os.path.join(config.output_dir, f"snap_{step:08d}.bin")
@@ -125,8 +131,6 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
                 window_snaps.append(snap)
 
     try:
-        coeffs = forward(f_start).coeffs
-        prev_linf = float(np.abs(f_start.values).max())
         if start_step == 0:
             record = diag.compute_record(
                 f0, 0.0, mean0, config.k_max, config.tail_fraction
@@ -137,16 +141,7 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
                 window_times.append(0.0)
                 window_snaps.append(f0)
         final_record = None
-        for step in range(start_step + 1, n_steps + 1):
-            coeffs = _step_spectral(coeffs, grid, params)
-            values = np.fft.irfftn(coeffs * n_total, s=grid.shape, axes=(0, 1, 2))
-            if not np.isfinite(values).all():
-                raise NumericalBlowup("non-finite values", step=step)
-            linf = float(np.abs(values).max())
-            if linf > 10.0 * prev_linf and prev_linf > 0.0:
-                raise NumericalBlowup("sup norm grew more than 10x", step=step)
-            prev_linf = linf
-            f = Field3(grid=grid, values=values)
+        for step, _, f in march(f_start, params, n_steps, start_step):
             t = step * params.dt
             record = diag.compute_record(
                 f, t, mean0, config.k_max, config.tail_fraction
@@ -162,6 +157,7 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
                 config.checkpoint_every > 0 and step % config.checkpoint_every == 0
             )
             if at_checkpoint or step == stop_after_steps:
+                csv_fh.flush()
                 write_checkpoint(
                     config.output_dir, f, t, step, params, config.config_hash
                 )
@@ -283,39 +279,10 @@ def cmd_stationary(config: RunConfig) -> int:
 
 
 def cmd_oracle_compare(config: RunConfig) -> int:
-    """Compare spectral vs finite-difference runs on oracle-sized grids."""
-    params = config.params
-    levels = [n for n in (4, 8, 16) if n <= max(8, min(config.grid.n_x, 16))]
-    n_steps = max(1, round(0.1 / params.dt))
-    t_cmp = n_steps * params.dt
-    diffs = []
-    for n in levels:
-        g = make_grid(n, n)
-        f0 = make_initial(SingleModeData(m=1.0, epsilon=0.2, mode=(1, 0, 1)), g)
-        p = Params(pe=params.pe, de=params.de, dt=params.dt, dealias=False)
-        spec_final = run_trajectory(f0, p, t_cmp, snapshot_stride=10**9).snapshots[-1]
-        bound = g.dx**2 / (6.0 * max(p.de, 1.0))
-        n_fine = int(math.ceil(t_cmp / (bound / 50.0)))
-        fd_final = fd_run(f0, p, t_cmp, OracleConfig(grid=g, dt_fine=t_cmp / n_fine))
-        diffs.append(float(np.abs(spec_final.values - fd_final.values).max()))
-    orders = [math.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
-    passed = diffs[-1] <= 1e-3 and all(o >= 1.8 for o in orders)
-    print(
-        json.dumps(
-            _json_safe(
-                {
-                    "levels": levels,
-                    "t_compare": t_cmp,
-                    "linf_diffs": diffs,
-                    "orders": orders,
-                    "pass": passed,
-                }
-            ),
-            indent=2,
-            sort_keys=True,
-        )
-    )
-    return 0 if passed else 1
+    """Criterion 3's oracle comparison and gate, as JSON on stdout."""
+    report = oracle_equivalence(config.params)
+    print(json.dumps(_json_safe(report), indent=2, sort_keys=True))
+    return 0 if report["pass"] else 1
 
 
 def main(argv=None) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -77,19 +78,23 @@ def lp_ladder(f: Field3, k_max: int) -> list[float]:
     return out
 
 
+@lru_cache(maxsize=32)
+def _tail_mask(n: int, nt: int, fraction: float) -> np.ndarray:
+    """Half-spectrum modes beyond fraction * n on some axis."""
+    c = _cache(n, nt)
+    return (
+        (np.abs(c["k1"]) > fraction * n)
+        | (np.abs(c["k2"]) > fraction * n)
+        | (c["k3"] > fraction * nt)
+    )
+
+
 def _tail_from_spectrum(s, n: int, nt: int, fraction: float) -> float:
     energy = mode_energy(s)
     total = float(energy.sum()) - float(energy[0, 0, 0])
     if total <= 1e-300:
         return 0.0
-    kx = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    kth = np.arange(nt // 2 + 1, dtype=float)
-    tail = (
-        (kx[:, None, None] > fraction * n)
-        | (kx[None, :, None] > fraction * n)
-        | (kth[None, None, :] > fraction * nt)
-    )
-    return float(energy[tail].sum()) / total
+    return float(energy[_tail_mask(n, nt, fraction)].sum()) / total
 
 
 def spectral_tail(f: Field3, fraction: float = 0.25) -> float:
@@ -245,6 +250,8 @@ def truncation_energy(
     the shrinking balls around that point.
     """
     t_a, t_b = window
+    if not traj.times:
+        raise WindowTooShort("trajectory holds no snapshots")
     if not (traj.times[0] - 1e-12 <= t_a < t_b <= traj.times[-1] + 1e-12):
         raise ValueError(
             f"window {window} outside trajectory span "

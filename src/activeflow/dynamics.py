@@ -4,6 +4,10 @@ The diffusion part is applied exactly in Fourier space through its semigroup;
 the nonlinear advection term is advanced with a two-stage integrating-factor
 midpoint rule. The advection is in divergence form, so its zero mode vanishes
 identically and the stepper conserves mass to machine precision.
+
+march is the one stepping core: it carries the half-spectrum state from step
+to step and owns the CFL warning and the blowup checks. run, step_imex, the
+simulate command and the stationary solver all consume it.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from . import diagnostics as diag
-from .errors import AdmissibilityViolation, NumericalBlowup, RadiusTooLarge, ZeroPeclet
+from .errors import AdmissibilityViolation, NumericalBlowup, RadiusTooLarge
 from .grid import Field3, GridSpec, Params, check_admissible
 from .spectral import (
     SpectrumView,
@@ -43,23 +48,6 @@ class Trajectory:
     times: list[float]
     snapshots: list[Field3]
     diagnostics: list["diag.DiagnosticsRecord"]
-
-
-@dataclass(frozen=True)
-class RescaleMap:
-    """Coefficient rescaling (a, b, c) that removes Pe and De from the PDE."""
-
-    a: float
-    b: float
-    c: float
-
-
-def rescale_problem(params: Params) -> RescaleMap:
-    """(a, b, c) = (De/Pe^2, De/Pe, sqrt(De)/Pe); undefined at Pe = 0."""
-    if params.pe == 0.0:
-        raise ZeroPeclet("problem rescaling requires Pe != 0")
-    pe, de = params.pe, params.de
-    return RescaleMap(a=de / pe**2, b=de / pe, c=math.sqrt(de) / pe)
 
 
 def _advection_hat(coeffs: np.ndarray, grid: GridSpec, params: Params) -> np.ndarray:
@@ -119,29 +107,37 @@ def _step_spectral(coeffs: np.ndarray, grid: GridSpec, params: Params) -> np.nda
 _CFL_WARNING = "time step exceeds the advective CFL bound"
 
 
-def step_imex(f: Field3, params: Params) -> Field3:
-    """Advance one step of size params.dt.
+def march(
+    f: Field3, params: Params, n_steps: int, start_step: int = 0
+) -> Iterator[tuple[int, np.ndarray, Field3]]:
+    """The stepping core: yield (step, coeffs, field) for each step after start_step.
 
-    Warns (without rejecting) when dt exceeds the CFL bound; raises
-    NumericalBlowup on non-finite output or >10x sup-norm growth.
+    f is the field at start_step; the run ends after step n_steps. Warns once
+    (without rejecting) when dt exceeds the CFL bound of f, and raises
+    NumericalBlowup on non-finite output or >10x sup-norm growth in one step.
     """
     if params.dt > cfl_dt(f, params):
         warnings.warn(_CFL_WARNING, RuntimeWarning, stacklevel=2)
-    new_coeffs = _step_spectral(forward(f).coeffs, f.grid, params)
-    values = np.fft.irfftn(
-        new_coeffs * (f.grid.n_x * f.grid.n_x * f.grid.n_theta),
-        s=f.grid.shape,
-        axes=(0, 1, 2),
-    )
-    _raise_on_blowup(values, float(np.abs(f.values).max()))
-    return Field3(grid=f.grid, values=values)
+    grid = f.grid
+    n_total = grid.n_x * grid.n_x * grid.n_theta
+    coeffs = forward(f).coeffs
+    prev_linf = float(np.abs(f.values).max())
+    for step in range(start_step + 1, n_steps + 1):
+        coeffs = _step_spectral(coeffs, grid, params)
+        values = np.fft.irfftn(coeffs * n_total, s=grid.shape, axes=(0, 1, 2))
+        if not np.isfinite(values).all():
+            raise NumericalBlowup("non-finite values after step", step=step)
+        linf = float(np.abs(values).max())
+        if linf > 10.0 * prev_linf and prev_linf > 0.0:
+            raise NumericalBlowup("sup norm grew more than 10x in one step", step=step)
+        prev_linf = linf
+        yield step, coeffs, Field3(grid=grid, values=values)
 
 
-def _raise_on_blowup(values: np.ndarray, prev_linf: float, step: int | None = None):
-    if not np.isfinite(values).all():
-        raise NumericalBlowup("non-finite values after step", step=step)
-    if float(np.abs(values).max()) > 10.0 * prev_linf and prev_linf > 0.0:
-        raise NumericalBlowup("sup norm grew more than 10x in one step", step=step)
+def step_imex(f: Field3, params: Params) -> Field3:
+    """Advance one step of size params.dt: the first step of march(f, ...)."""
+    _, _, f_next = next(march(f, params, 1))
+    return f_next
 
 
 def run(
@@ -168,26 +164,13 @@ def run(
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
 
-    if params.dt > cfl_dt(f0, params):
-        warnings.warn(_CFL_WARNING, RuntimeWarning, stacklevel=2)
-
-    grid = f0.grid
-    n_total = grid.n_x * grid.n_x * grid.n_theta
     mean0 = f0.mean()
     n_steps = int(math.ceil(t_end / params.dt - 1e-9)) if t_end > 0 else 0
 
     records = [diag.compute_record(f0, t=0.0, mean0=mean0, k_max=diagnostics_k_max)]
     times = [0.0]
     snapshots = [f0]
-
-    coeffs = forward(f0).coeffs
-    prev_linf = float(np.abs(f0.values).max())
-    for step in range(1, n_steps + 1):
-        coeffs = _step_spectral(coeffs, grid, params)
-        values = np.fft.irfftn(coeffs * n_total, s=grid.shape, axes=(0, 1, 2))
-        _raise_on_blowup(values, prev_linf, step=step)
-        f = Field3(grid=grid, values=values)
-        prev_linf = float(np.abs(values).max())
+    for step, _, f in march(f0, params, n_steps):
         t = step * params.dt
         records.append(diag.compute_record(f, t=t, mean0=mean0, k_max=diagnostics_k_max))
         if step % snapshot_stride == 0 or step == n_steps:
@@ -195,7 +178,7 @@ def run(
             snapshots.append(f)
 
     return Trajectory(
-        grid=grid,
+        grid=f0.grid,
         params=params,
         mean0=mean0,
         times=times,

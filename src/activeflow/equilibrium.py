@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .diagnostics import fit_decay_rate
-from .dynamics import Trajectory, rhs, run, step_imex
+from .dynamics import Trajectory, march, rhs, run
 from .errors import AdmissibilityViolation, NotConverged
 from .grid import TWO_PI, Field3, Params, check_admissible
 from .spectral import l2_norm, poincare_constant
@@ -138,13 +138,11 @@ def solve_stationary(
     if not report.ok:
         raise AdmissibilityViolation("stationary guess is not admissible")
 
-    f = f_guess
-    residual = stationary_residual(f, params)
+    residual = stationary_residual(f_guess, params)
     if residual < tol:
-        return f, residual
+        return f_guess, residual
     n_steps = int(math.ceil(t_max / params.dt))
-    for step in range(1, n_steps + 1):
-        f = step_imex(f, params)
+    for step, _, f in march(f_guess, params, n_steps):
         if step % check_every == 0 or step == n_steps:
             residual = stationary_residual(f, params)
             if residual < tol:

@@ -20,10 +20,6 @@ class NumericalBlowup(ActiveFlowError):
         self.step = step
 
 
-class ZeroPeclet(ActiveFlowError):
-    """The problem rescaling is undefined at Pe = 0."""
-
-
 class RadiusTooLarge(ActiveFlowError):
     """Cylinder radius violates 0 < r < min(1, sqrt(t0/2))."""
 

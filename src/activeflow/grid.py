@@ -137,11 +137,6 @@ class Field2:
         object.__setattr__(self, "values", arr)
 
 
-def e_vec(theta: float) -> tuple[float, float]:
-    """Self-propulsion direction (cos(theta), sin(theta))."""
-    return (math.cos(theta), math.sin(theta))
-
-
 # --- initial data ------------------------------------------------------------
 
 @dataclass(frozen=True)

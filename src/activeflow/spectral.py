@@ -86,24 +86,6 @@ def inverse(s: SpectrumView) -> Field3:
     return Field3(grid=s.grid, values=values)
 
 
-def deriv(f: Field3, axis: str) -> Field3:
-    """Spectral partial derivative along "x1", "x2", or "theta"."""
-    if axis not in AXES:
-        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    c = _cache(f.grid.n_x, f.grid.n_theta)
-    d = {"x1": c["d1"], "x2": c["d2"], "theta": c["d3"]}[axis]
-    s = forward(f)
-    return inverse(SpectrumView(grid=f.grid, coeffs=1j * d * s.coeffs))
-
-
-def laplacian_xi(f: Field3, de: float) -> Field3:
-    """Weighted diffusion operator de * Delta_x f + d^2f/dtheta^2."""
-    c = _cache(f.grid.n_x, f.grid.n_theta)
-    s = forward(f)
-    sym = -(de * c["kx_sq"] + c["k3"] ** 2)
-    return inverse(SpectrumView(grid=f.grid, coeffs=sym * s.coeffs))
-
-
 def dealias(s: SpectrumView) -> SpectrumView:
     """2/3-rule projection: zero modes with |k_i| > floor(n_i/3) on any axis."""
     c = _cache(s.grid.n_x, s.grid.n_theta)
@@ -138,10 +120,6 @@ def poincare_constant(grid: GridSpec) -> float:
 
 # --- norms and energies -------------------------------------------------------
 
-def integral(f: Field3) -> float:
-    return f.integral()
-
-
 def l2_norm(f: Field3) -> float:
     """L2 norm over the box (rectangle rule)."""
     return math.sqrt(float((f.values**2).sum()) * f.grid.cell_volume)
@@ -174,30 +152,20 @@ def grad_l2(f: Field3, s: SpectrumView | None = None) -> float:
 
 # --- 2D spectral calculus for density-level residuals --------------------------
 
-@lru_cache(maxsize=32)
-def _cache2(n_x: int):
-    kx = np.fft.fftfreq(n_x, d=1.0 / n_x).astype(np.float64)
-    d = np.where(np.abs(kx) == n_x // 2, 0.0, kx)
-    return kx, d
-
-
 def deriv2(g: Field2, axis: str) -> Field2:
     """Spectral partial derivative of a spatial field along "x1" or "x2"."""
     if axis not in ("x1", "x2"):
         raise ValueError(f"axis must be 'x1' or 'x2', got {axis!r}")
-    n = g.grid.n_x
-    _, d = _cache2(n)
-    shape = (n, 1) if axis == "x1" else (1, n)
+    c = _cache(g.grid.n_x, g.grid.n_theta)
+    d = c["d1" if axis == "x1" else "d2"][:, :, 0]
     ghat = np.fft.fft2(g.values)
-    out = np.fft.ifft2(1j * d.reshape(shape) * ghat).real
+    out = np.fft.ifft2(1j * d * ghat).real
     return Field2(grid=g.grid, values=out)
 
 
 def laplacian2(g: Field2) -> Field2:
     """Spatial spectral Laplacian of a 2D field."""
-    n = g.grid.n_x
-    kx, _ = _cache2(n)
-    sym = -(kx[:, None] ** 2 + kx[None, :] ** 2)
+    sym = -_cache(g.grid.n_x, g.grid.n_theta)["kx_sq"][:, :, 0]
     out = np.fft.ifft2(sym * np.fft.fft2(g.values)).real
     return Field2(grid=g.grid, values=out)
 

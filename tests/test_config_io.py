@@ -7,10 +7,12 @@ import pytest
 
 from activeflow.cli import cmd_simulate, main
 from activeflow.config import load_config, parse_config
+from activeflow.dynamics import run
 from activeflow.errors import ParseError, ValidationError
-from activeflow.grid import Params
+from activeflow.grid import Params, make_initial
 from activeflow.storage import (
     csv_header,
+    csv_row,
     read_csv,
     read_snapshot,
     write_snapshot,
@@ -171,6 +173,16 @@ class TestSimulateCommand:
         assert summary["steps"] == 50
         assert summary["is_small_pe"] is True
 
+    def test_csv_matches_run_diagnostics(self, tmp_path):
+        # simulate and run share one stepping core: same rows, byte for byte
+        cfg = parse_config(base_doc(output_dir=str(tmp_path / "r"), t_end=0.2))
+        assert cmd_simulate(cfg) == 0
+        f0 = make_initial(cfg.initial, cfg.grid)
+        traj = run(f0, cfg.params, cfg.t_end, diagnostics_k_max=cfg.k_max)
+        lines = [csv_header(cfg.k_max)] + [csv_row(r) for r in traj.diagnostics]
+        expected = ("\n".join(lines) + "\n").encode()
+        assert (tmp_path / "r" / "diagnostics.csv").read_bytes() == expected
+
     def test_constant_rows_identical_except_time(self, tmp_path):
         doc = base_doc(
             output_dir=str(tmp_path / "c"),
@@ -195,6 +207,17 @@ class TestSimulateCommand:
         a, _ = read_snapshot(str(tmp_path / "full" / "snap_00000100.bin"))
         b, _ = read_snapshot(str(tmp_path / "res" / "snap_00000100.bin"))
         assert np.abs(a.values - b.values).max() <= 1e-14
+
+    def test_resume_refuses_short_csv(self, tmp_path, capsys):
+        doc = base_doc(output_dir=str(tmp_path / "sh"), t_end=1.0)
+        assert cmd_simulate(parse_config(doc), stop_after_steps=20) == 0
+        csv_path = tmp_path / "sh" / "diagnostics.csv"
+        csv_path.write_text("")
+        rc = main(["simulate", "--config", write_config(tmp_path, doc)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "ParseError"
+        assert csv_path.read_text() == ""
 
     def test_checkpoint_mismatch_refused(self, tmp_path, capsys):
         out_dir = str(tmp_path / "ck")
@@ -247,6 +270,17 @@ class TestSimulateCommand:
         assert all(e >= 0.0 for e in trunc["energies"])
         # field max is far below the first positive level: upper rungs vanish
         assert trunc["energies"][-1] == 0.0
+
+    def test_truncation_summary_without_snapshots(self, tmp_path):
+        # the run ends before the window opens, so no snapshot falls inside it
+        doc = base_doc(
+            output_dir=str(tmp_path / "tr0"),
+            t_end=0.0,
+            diagnostics={"k_max": 6, "truncation": {"window": [0.1, 0.4], "k_max": 3}},
+        )
+        assert cmd_simulate(parse_config(doc)) == 0
+        summary = json.loads((tmp_path / "tr0" / "summary.json").read_text())
+        assert summary["truncation"]["error"].startswith("WindowTooShort")
 
     def test_tail_threshold_configurable(self, tmp_path):
         # a mode-2 perturbation on a 16-grid: beyond the n/8 threshold but

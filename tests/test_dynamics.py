@@ -12,7 +12,6 @@ from activeflow import (
     make_grid,
     make_initial,
     rescale_field,
-    rescale_problem,
     rhs,
     run,
     step_imex,
@@ -22,7 +21,6 @@ from activeflow.errors import (
     AdmissibilityViolation,
     NumericalBlowup,
     RadiusTooLarge,
-    ZeroPeclet,
 )
 from activeflow.oracle import (
     OracleConfig,
@@ -237,20 +235,6 @@ class TestAnisotropicGrid:
         traj = run(f0, Params(pe=0.1, de=1.0, dt=0.01), 0.5, snapshot_stride=10**9)
         drift = max(abs(r.mass - traj.mean0) for r in traj.diagnostics)
         assert drift <= 1e-13 * traj.mean0
-
-
-class TestRescaleProblem:
-    def test_identity_scaling(self):
-        m = rescale_problem(Params(pe=1.0, de=1.0, dt=0.1))
-        assert (m.a, m.b, m.c) == (1.0, 1.0, 1.0)
-
-    def test_formula(self):
-        m = rescale_problem(Params(pe=2.0, de=4.0, dt=0.1))
-        assert (m.a, m.b, m.c) == (1.0, 2.0, 1.0)
-
-    def test_zero_peclet_rejected(self):
-        with pytest.raises(ZeroPeclet):
-            rescale_problem(Params(pe=0.0, de=1.0, dt=0.1))
 
 
 class TestRescaleField:

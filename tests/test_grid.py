@@ -9,7 +9,6 @@ from activeflow import (
     RandomBandlimitedData,
     SingleModeData,
     check_admissible,
-    e_vec,
     make_grid,
     make_initial,
 )
@@ -40,19 +39,6 @@ class TestMakeGrid:
         x = make_grid(8, 8).x_values()
         assert x[0] == 0.0
         assert x[-1] < TWO_PI
-
-
-class TestEVec:
-    def test_cardinal_angles(self):
-        assert e_vec(0.0) == (1.0, 0.0)
-        assert e_vec(math.pi / 2) == pytest.approx((0.0, 1.0), abs=1e-15)
-        assert e_vec(math.pi) == pytest.approx((-1.0, 0.0), abs=1e-15)
-
-    def test_unit_norm_random_angles(self):
-        rng = np.random.default_rng(0)
-        for theta in rng.uniform(0, 100.0, size=1000):
-            c, s = e_vec(theta)
-            assert abs(math.hypot(c, s) - 1.0) <= 1e-15
 
 
 class TestField3:

@@ -9,14 +9,13 @@ from activeflow import (
     compute_p,
     compute_rho,
     dealias,
-    deriv,
     forward,
     inverse,
-    laplacian_xi,
     make_grid,
     make_initial,
     poincare_constant,
 )
+from activeflow.diagnostics import _spectral_grads
 from activeflow.spectral import deriv2, grad_l2, l2_norm, mode_energy
 from conftest import field_from, random_field
 
@@ -54,49 +53,35 @@ class TestTransforms:
 
 
 class TestDeriv:
+    """The spectral partial derivatives the diagnostics use."""
+
     def test_sin_x1(self, grid32):
         f = field_from(grid32, lambda x1, x2, th: np.sin(x1))
         expected = field_from(grid32, lambda x1, x2, th: np.cos(x1))
-        assert np.abs(deriv(f, "x1").values - expected.values).max() < 1e-12
+        assert np.abs(_spectral_grads(f)[0] - expected.values).max() < 1e-12
 
     def test_theta_axis(self, grid32):
         f = field_from(grid32, lambda x1, x2, th: np.sin(2 * th))
         expected = field_from(grid32, lambda x1, x2, th: 2 * np.cos(2 * th))
-        assert np.abs(deriv(f, "theta").values - expected.values).max() < 1e-12
+        assert np.abs(_spectral_grads(f)[2] - expected.values).max() < 1e-12
 
     def test_nyquist_mode_derivative_is_zero(self, grid8):
         f = field_from(grid8, lambda x1, x2, th: np.cos(4 * x1))
-        assert np.abs(deriv(f, "x1").values).max() < 1e-13
-
-    def test_unknown_axis(self, grid8):
-        with pytest.raises(ValueError):
-            deriv(random_field(grid8, 0), "x3")
+        assert np.abs(_spectral_grads(f)[0]).max() < 1e-13
 
     def test_product_rule_bandlimited(self, grid32):
         f = field_from(grid32, lambda x1, x2, th: np.sin(3 * x1) + np.cos(2 * th))
         g = field_from(grid32, lambda x1, x2, th: np.cos(4 * x2 + 2 * x1))
         prod = Field3(grid=grid32, values=f.values * g.values)
-        lhs = deriv(prod, "x1").values
-        rhs = f.values * deriv(g, "x1").values + g.values * deriv(f, "x1").values
+        lhs = _spectral_grads(prod)[0]
+        rhs = f.values * _spectral_grads(g)[0] + g.values * _spectral_grads(f)[0]
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_rho_commutes_with_spatial_derivative(self, grid16):
         f = random_field(grid16, seed=11)
-        lhs = compute_rho(deriv(f, "x1"))
+        lhs = compute_rho(Field3(grid=grid16, values=_spectral_grads(f)[0]))
         rhs = deriv2(compute_rho(f), "x1")
         assert np.abs(lhs.values - rhs.values).max() < 1e-12
-
-
-class TestLaplacian:
-    def test_theta_eigenfunction_ignores_de(self, grid32):
-        f = field_from(grid32, lambda x1, x2, th: np.cos(th))
-        out = laplacian_xi(f, de=5.0)
-        assert np.abs(out.values + f.values).max() < 1e-12
-
-    def test_spatial_eigenfunction_scales_with_de(self, grid32):
-        f = field_from(grid32, lambda x1, x2, th: np.cos(x1))
-        out = laplacian_xi(f, de=2.0)
-        assert np.abs(out.values + 2.0 * f.values).max() < 1e-12
 
 
 class TestDealias:
