@@ -35,7 +35,7 @@ from .errors import (
     WindowTooShort,
 )
 from .grid import Field3, make_initial
-from .spectral import poincare_constant
+from .spectral import forward, poincare_constant
 from .storage import (
     SnapshotWriter,
     csv_header,
@@ -133,7 +133,7 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     try:
         if start_step == 0:
             record = diag.compute_record(
-                f0, 0.0, mean0, config.k_max, config.tail_fraction
+                f0, forward(f0).coeffs, 0.0, mean0, config.k_max, config.tail_fraction
             )
             csv_fh.write(csv_row(record) + "\n")
             writer.submit(snap_path(0), f0, 0.0, 0, params)
@@ -141,10 +141,10 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
                 window_times.append(0.0)
                 window_snaps.append(f0)
         final_record = None
-        for step, _, f in march(f_start, params, n_steps, start_step):
+        for step, coeffs, f in march(f_start, params, n_steps, start_step):
             t = step * params.dt
             record = diag.compute_record(
-                f, t, mean0, config.k_max, config.tail_fraction
+                f, coeffs, t, mean0, config.k_max, config.tail_fraction
             )
             final_record = record
             csv_fh.write(csv_row(record) + "\n")

@@ -18,6 +18,7 @@ from .errors import (
 )
 from .grid import TWO_PI, Field2, Field3
 from .spectral import (
+    SpectrumView,
     compute_p,
     compute_rho,
     deriv2,
@@ -106,13 +107,14 @@ def spectral_tail(f: Field3, fraction: float = 0.25) -> float:
 
 def compute_record(
     f: Field3,
+    coeffs: np.ndarray,
     t: float,
     mean0: float,
     k_max: int = 6,
     tail_fraction: float = 0.25,
 ) -> DiagnosticsRecord:
-    """Evaluate all per-step observables for one field."""
-    s = forward(f)
+    """Evaluate all per-step observables for f, whose half spectrum is coeffs."""
+    s = SpectrumView(grid=f.grid, coeffs=coeffs)
     rho = compute_rho(f)
     dv = f.grid.cell_volume
     l2c = math.sqrt(float(((f.values - mean0) ** 2).sum()) * dv)

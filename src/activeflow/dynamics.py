@@ -7,7 +7,9 @@ identically and the stepper conserves mass to machine precision.
 
 march is the one stepping core: it carries the half-spectrum state from step
 to step and owns the CFL warning and the blowup checks. run, step_imex, the
-simulate command and the stationary solver all consume it.
+simulate command and the stationary solver all consume it. A step costs four
+transforms: a forward one per advection stage and the inverses of the stage-2
+midpoint and the new state, which is the next stage-1 input.
 """
 
 from __future__ import annotations
@@ -50,22 +52,32 @@ class Trajectory:
     diagnostics: list["diag.DiagnosticsRecord"]
 
 
-def _advection_hat(coeffs: np.ndarray, grid: GridSpec, params: Params) -> np.ndarray:
-    """Half-spectrum of -Pe * div_x((1 - rho) f e(theta)).
+def _advection_hat(values: np.ndarray, grid: GridSpec, params: Params) -> np.ndarray:
+    """Half-spectrum of -Pe * div_x((1 - rho) f e(theta)) from physical values.
 
-    The product is formed in physical space; the result is 2/3-dealiased when
-    enabled. The k = 0 coefficient is identically zero (divergence form).
+    One forward transform gives the half spectrum B of (1 - rho) f. A factor
+    cos(theta) or sin(theta) shifts the theta index by one, so mode m is
+    a_lo B[m-1] + a_hi B[m+1], a_lo/hi = -Pe (d1 -/+ i d2) / (2 n_total); past
+    the edges, B[-1] and B[n_theta/2+1] are the conjugates at -k_x of planes 1
+    and n_theta/2 - 1. 2/3-dealiased when enabled; k = 0 is exactly zero.
     """
     c = _cache(grid.n_x, grid.n_theta)
-    n_total = grid.n_x * grid.n_x * grid.n_theta
-    f_phys = np.fft.irfftn(coeffs * n_total, s=grid.shape, axes=(0, 1, 2))
-    rho = f_phys.sum(axis=2) * grid.dtheta
-    blocked = (1.0 - rho)[:, :, None] * f_phys
-    g1 = np.fft.rfftn(blocked * c["cos_theta"][None, None, :]) / n_total
-    g2 = np.fft.rfftn(blocked * c["sin_theta"][None, None, :]) / n_total
-    out = -1j * params.pe * (c["d1"] * g1 + c["d2"] * g2)
+    rho = values.sum(axis=2) * grid.dtheta
+    spec = np.fft.rfftn((1.0 - rho)[:, :, None] * values)
+    neg = -np.arange(grid.n_x) % grid.n_x
+    edge_lo = spec[:, :, 1][neg][:, neg].conj()
+    edge_hi = spec[:, :, grid.n_theta // 2 - 1][neg][:, neg].conj()
+    scale = -0.5j * params.pe / values.size
+    a_lo = scale * (c["d1"] - 1j * c["d2"])
+    a_hi = scale * (c["d1"] + 1j * c["d2"])
+    out = np.empty_like(spec)
+    np.multiply(spec[:, :, :-1], a_lo, out=out[:, :, 1:])
+    out[:, :, 0] = a_lo[:, :, 0] * edge_lo
+    spec[:, :, 1:] *= a_hi
+    out[:, :, :-1] += spec[:, :, 1:]
+    out[:, :, -1] += a_hi[:, :, 0] * edge_hi
     if params.dealias:
-        out = out * c["dealias"]
+        out *= c["dealias"]
     return out
 
 
@@ -74,7 +86,7 @@ def rhs(f: Field3, params: Params) -> Field3:
     c = _cache(f.grid.n_x, f.grid.n_theta)
     s = forward(f)
     diffusion = -(params.de * c["kx_sq"] + c["k3"] ** 2) * s.coeffs
-    total = diffusion + _advection_hat(s.coeffs, f.grid, params)
+    total = diffusion + _advection_hat(f.values, f.grid, params)
     return inverse(SpectrumView(grid=f.grid, coeffs=total))
 
 
@@ -94,13 +106,16 @@ def _semigroup(n_x: int, n_theta: int, de: float, dt: float):
     return half, half * half
 
 
-def _step_spectral(coeffs: np.ndarray, grid: GridSpec, params: Params) -> np.ndarray:
-    """One integrating-factor midpoint step in the half spectrum."""
+def _step_spectral(
+    coeffs: np.ndarray, values: np.ndarray, grid: GridSpec, params: Params
+) -> np.ndarray:
+    """One integrating-factor midpoint step; values are the samples of coeffs."""
     dt = params.dt
     e_half, e_full = _semigroup(grid.n_x, grid.n_theta, params.de, dt)
-    k1 = _advection_hat(coeffs, grid, params)
+    k1 = _advection_hat(values, grid, params)
     mid = e_half * (coeffs + 0.5 * dt * k1)
-    k2 = _advection_hat(mid, grid, params)
+    mid_values = np.fft.irfftn(mid * values.size, s=grid.shape, axes=(0, 1, 2))
+    k2 = _advection_hat(mid_values, grid, params)
     return e_full * coeffs + dt * e_half * k2
 
 
@@ -123,7 +138,7 @@ def march(
     coeffs = forward(f).coeffs
     prev_linf = float(np.abs(f.values).max())
     for step in range(start_step + 1, n_steps + 1):
-        coeffs = _step_spectral(coeffs, grid, params)
+        coeffs = _step_spectral(coeffs, f.values, grid, params)
         values = np.fft.irfftn(coeffs * n_total, s=grid.shape, axes=(0, 1, 2))
         if not np.isfinite(values).all():
             raise NumericalBlowup("non-finite values after step", step=step)
@@ -131,7 +146,9 @@ def march(
         if linf > 10.0 * prev_linf and prev_linf > 0.0:
             raise NumericalBlowup("sup norm grew more than 10x in one step", step=step)
         prev_linf = linf
-        yield step, coeffs, Field3(grid=grid, values=values)
+        f = Field3(grid=grid, values=values)
+        del values  # f holds the frozen copy that the next step reads
+        yield step, coeffs, f
 
 
 def step_imex(f: Field3, params: Params) -> Field3:
@@ -167,12 +184,12 @@ def run(
     mean0 = f0.mean()
     n_steps = int(math.ceil(t_end / params.dt - 1e-9)) if t_end > 0 else 0
 
-    records = [diag.compute_record(f0, t=0.0, mean0=mean0, k_max=diagnostics_k_max)]
+    records = [diag.compute_record(f0, forward(f0).coeffs, 0.0, mean0, diagnostics_k_max)]
     times = [0.0]
     snapshots = [f0]
-    for step, _, f in march(f0, params, n_steps):
+    for step, coeffs, f in march(f0, params, n_steps):
         t = step * params.dt
-        records.append(diag.compute_record(f, t=t, mean0=mean0, k_max=diagnostics_k_max))
+        records.append(diag.compute_record(f, coeffs, t, mean0, diagnostics_k_max))
         if step % snapshot_stride == 0 or step == n_steps:
             times.append(t)
             snapshots.append(f)

@@ -18,8 +18,12 @@ from activeflow import (
     spectral_tail,
     truncation_energy,
 )
-from activeflow.diagnostics import truncation_energy_rescaled, truncation_levels
-from activeflow.dynamics import Trajectory, rescale_field
+from activeflow.diagnostics import (
+    compute_record,
+    truncation_energy_rescaled,
+    truncation_levels,
+)
+from activeflow.dynamics import Trajectory, march, rescale_field
 from activeflow.errors import (
     NegativeField,
     NonpositiveValue,
@@ -27,7 +31,8 @@ from activeflow.errors import (
     TooFewSnapshots,
     WindowTooShort,
 )
-from conftest import field_from
+from activeflow.spectral import forward
+from conftest import field_from, random_field
 
 TWO_PI = 2.0 * math.pi
 
@@ -293,3 +298,26 @@ class TestFitDecayRate:
         series = [(t, math.exp(-t)) for t in np.linspace(0.0, 1.0, 5)]
         with pytest.raises(TooFewPoints):
             fit_decay_rate(series, (0.0, 1.0))
+
+
+class TestRecordFromSpectrum:
+    """Records read the spectrum march carries instead of a fresh transform."""
+
+    @pytest.mark.parametrize("kind", ["desk", "random"])
+    def test_carried_matches_fresh_transform(self, grid16, kind):
+        if kind == "desk":
+            f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 0)), grid16)
+            params = Params(pe=0.05, de=1.0, dt=0.01)
+        else:
+            f0 = Field3(grid=grid16, values=0.01 * random_field(grid16, 4, True).values)
+            params = Params(pe=0.5, de=0.2, dt=0.002)
+        for _, coeffs, f in march(f0, params, 10):
+            pass
+        carried = compute_record(f, coeffs, 0.1, f0.mean())
+        fresh = compute_record(f, forward(f).coeffs, 0.1, f0.mean())
+        for name in ("t", "mass", "l2_to_const", "linf", "rho_min", "rho_max", "lp_ladder"):
+            assert getattr(carried, name) == getattr(fresh, name)
+        assert carried.grad_l2 == pytest.approx(fresh.grad_l2, rel=1e-12, abs=0.0)
+        assert abs(carried.spectral_tail - fresh.spectral_tail) <= 1e-12
+        if kind == "random":
+            assert fresh.spectral_tail > 1e-6  # the tail carries real energy here

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from activeflow import (
     ConstantData,
@@ -16,7 +17,7 @@ from activeflow import (
     run,
     step_imex,
 )
-from activeflow.dynamics import rescale_ell
+from activeflow.dynamics import _advection_hat, march, rescale_ell
 from activeflow.errors import (
     AdmissibilityViolation,
     NumericalBlowup,
@@ -29,6 +30,7 @@ from activeflow.oracle import (
     fd_rhs,
     fd_run,
 )
+from activeflow.spectral import _cache
 from conftest import field_from
 
 TWO_PI = 2.0 * math.pi
@@ -62,6 +64,64 @@ class TestRhs:
         ratios = [errs[i] / errs[i + 1] for i in range(2)]
         assert all(3.7 <= r <= 4.3 for r in ratios)
         assert min(math.log2(r) for r in ratios) >= 1.9
+
+
+class TestAdvectionShift:
+    """One transform and a theta-index shift give the two-transform product."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_x=st.integers(2, 8).map(lambda k: 2 * k),
+        n_theta=st.integers(2, 8).map(lambda k: 2 * k),
+        dealias=st.booleans(),
+        pe=st.floats(-3.0, -0.01) | st.floats(0.01, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_x=8, n_theta=4, dealias=True, pe=0.7, seed=0)
+    @example(n_x=4, n_theta=16, dealias=False, pe=-1.3, seed=1)
+    @example(n_x=16, n_theta=6, dealias=False, pe=0.4, seed=2)
+    def test_matches_two_transform_reference(self, n_x, n_theta, dealias, pe, seed):
+        grid = make_grid(n_x, n_theta)
+        values = 0.01 + 0.02 * np.random.default_rng(seed).random(grid.shape)
+        params = Params(pe=pe, de=1.0, dt=0.01, dealias=dealias)
+        c = _cache(n_x, n_theta)
+        blocked = (1.0 - values.sum(axis=2) * grid.dtheta)[:, :, None] * values
+        g1 = np.fft.rfftn(blocked * c["cos_theta"]) / values.size
+        g2 = np.fft.rfftn(blocked * c["sin_theta"]) / values.size
+        ref = -1j * pe * (c["d1"] * g1 + c["d2"] * g2)
+        if dealias:
+            ref = ref * c["dealias"]
+        out = _advection_hat(values, grid, params)
+        assert out[0, 0, 0] == 0.0
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _count_transforms(monkeypatch, fn) -> int:
+    """Number of numpy.fft.rfftn/irfftn calls made by fn()."""
+    calls = [0]
+    for name in ("rfftn", "irfftn"):
+        def counted(*args, _orig=getattr(np.fft, name), **kwargs):
+            calls[0] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    fn()
+    monkeypatch.undo()
+    return calls[0]
+
+
+class TestTransformCount:
+    """The transform count per step is the solver's figure of merit."""
+
+    def test_march_makes_four_per_step(self, grid16, monkeypatch):
+        f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 1)), grid16)
+        params = Params(pe=0.3, de=1.0, dt=0.01)
+        n = _count_transforms(monkeypatch, lambda: list(march(f0, params, 5)))
+        assert n == 1 + 4 * 5
+
+    def test_rhs_makes_three(self, grid16, monkeypatch):
+        f = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 1)), grid16)
+        params = Params(pe=0.3, de=1.0, dt=0.01)
+        assert _count_transforms(monkeypatch, lambda: rhs(f, params)) == 3
 
 
 class TestCfl:
