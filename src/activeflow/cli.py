@@ -18,8 +18,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .config import RunConfig, load_config
-from .diagnostics import truncation_energy
-from .dynamics import Trajectory, cfl_dt, march
+from .dynamics import cfl_dt, march
 from .equilibrium import (
     kappa,
     peclet_threshold,
@@ -35,13 +34,12 @@ from .errors import (
     WindowTooShort,
 )
 from .grid import Field3, make_initial
-from .spectral import forward, poincare_constant
+from .spectral import SpectrumView, forward, poincare_constant, synthesize
 from .storage import (
     SnapshotWriter,
     csv_header,
     csv_row,
     load_checkpoint,
-    read_snapshot,
     write_checkpoint,
 )
 from .verification import FAIL, oracle_equivalence, run_all
@@ -66,100 +64,78 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     """Run a simulation, streaming diagnostics and snapshots to output_dir.
 
     Consumes dynamics.march: every step appends one diagnostics.csv row, and
-    strided steps write a snapshot and join the truncation window. The CSV is
-    flushed before each checkpoint is written. Resumes automatically from
-    output_dir/checkpoint.bin when present; it refuses a checkpoint of a
-    different config, and raises ParseError (leaving the file as it is) when
-    diagnostics.csv lacks the frozen header or a row up to the checkpoint's
-    step. The stop_after_steps hook halts after writing a checkpoint at that
-    step; it exists for interruption/resume testing and is not exposed on
-    the CLI.
+    strided steps write a snapshot and feed the truncation-ladder reducer.
+    The CSV is flushed before each checkpoint. A checkpoint in output_dir
+    resumes the run from its spectrum and ladder state, byte-identically; one
+    of another format or config is refused, and so (ParseError, file left as
+    it is) is a diagnostics.csv without the header or a row up to its step.
+    The stop_after_steps hook halts after writing a checkpoint at that step;
+    it exists for interruption/resume testing and is not exposed on the CLI.
     """
     grid, params = config.grid, config.params
     os.makedirs(config.output_dir, exist_ok=True)
     csv_path = os.path.join(config.output_dir, "diagnostics.csv")
 
     f0 = make_initial(config.initial, grid)
+    mean0 = f0.mean()
     n_steps = (
         int(math.ceil(config.t_end / params.dt - 1e-9)) if config.t_end > 0 else 0
     )
 
     resume = load_checkpoint(config.output_dir, config.config_hash)
     if resume is not None:
-        f_start, _, start_step = resume
-        try:
-            with open(csv_path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except FileNotFoundError:
-            lines = []
-        if len(lines) < start_step + 2 or lines[0] != csv_header(config.k_max):
-            raise ParseError(
-                f"{csv_path}: needs the header and {start_step + 1} rows to resume "
-                f"from checkpoint step {start_step}; found {len(lines)} lines"
-            )
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines[: start_step + 2]) + "\n")  # header + rows
+        spec, _, start_step, ladder_state = resume
+        final_l2 = _cut_csv(csv_path, config.k_max, start_step)
         csv_fh = open(csv_path, "a", encoding="utf-8")
     else:
-        f_start, start_step = f0, 0
+        start_step, ladder_state = 0, None
         csv_fh = open(csv_path, "w", encoding="utf-8")
         csv_fh.write(csv_header(config.k_max) + "\n")
-
-    mean0 = f_start.mean()
+    ladder = None if config.truncation_window is None else diag.TruncationReducer(
+        config.truncation_window, config.truncation_k_max, grid.cell_volume,
+        ladder_state,
+    )
     writer = SnapshotWriter()
+
+    def write_row(f: Field3, coeffs, t: float) -> float:
+        k_max, tail = config.k_max, config.tail_fraction
+        record = diag.compute_record(f, coeffs, t, mean0, k_max, tail)
+        csv_fh.write(csv_row(record) + "\n")
+        return record.l2_to_const
 
     def snap_path(step: int) -> str:
         return os.path.join(config.output_dir, f"snap_{step:08d}.bin")
 
-    def in_window(t: float) -> bool:
-        if config.truncation_window is None:
-            return False
-        t_a, t_b = config.truncation_window
-        return t_a - 1e-12 <= t <= t_b + 1e-12
-
-    window_times: list[float] = []
-    window_snaps: list[Field3] = []
-    if resume is not None and config.truncation_window is not None:
-        # recover the already-written window snapshots from disk
-        for step in range(0, start_step + 1):
-            if step % config.snapshot_stride and step != 0:
-                continue
-            t = step * params.dt
-            if in_window(t) and os.path.exists(snap_path(step)):
-                snap, _ = read_snapshot(snap_path(step))
-                window_times.append(t)
-                window_snaps.append(snap)
+    def snapshot(step: int, f: Field3, coeffs) -> None:
+        t = step * params.dt
+        writer.submit(snap_path(step), f, t, step, params)
+        if ladder is not None and ladder.covers(t):
+            ladder.add(t, f.values, diag._spectral_grads(coeffs, grid))
 
     try:
-        if start_step == 0:
-            record = diag.compute_record(
-                f0, forward(f0).coeffs, 0.0, mean0, config.k_max, config.tail_fraction
-            )
-            csv_fh.write(csv_row(record) + "\n")
-            writer.submit(snap_path(0), f0, 0.0, 0, params)
-            if in_window(0.0):
-                window_times.append(0.0)
-                window_snaps.append(f0)
-        final_record = None
-        for step, coeffs, f in march(f_start, params, n_steps, start_step):
+        f = None  # stays None on a final-step resume: no step is left to take
+        if resume is None:
+            f, coeffs = f0, forward(f0).coeffs
+            final_l2 = write_row(f0, coeffs, 0.0)
+            snapshot(0, f0, coeffs)
+        elif start_step < n_steps:
+            coeffs = spec.coeffs
+            f = Field3(grid=grid, values=synthesize(coeffs, grid))
+        steps = () if f is None else march(f, params, n_steps, start_step, coeffs)
+        for step, coeffs, f in steps:
             t = step * params.dt
-            record = diag.compute_record(
-                f, coeffs, t, mean0, config.k_max, config.tail_fraction
-            )
-            final_record = record
-            csv_fh.write(csv_row(record) + "\n")
+            final_l2 = write_row(f, coeffs, t)
             if step % config.snapshot_stride == 0 or step == n_steps:
-                writer.submit(snap_path(step), f, t, step, params)
-                if in_window(t):
-                    window_times.append(t)
-                    window_snaps.append(f)
+                snapshot(step, f, coeffs)
             at_checkpoint = (
                 config.checkpoint_every > 0 and step % config.checkpoint_every == 0
             )
             if at_checkpoint or step == stop_after_steps:
                 csv_fh.flush()
                 write_checkpoint(
-                    config.output_dir, f, t, step, params, config.config_hash
+                    config.output_dir, SpectrumView(grid=grid, coeffs=coeffs), t,
+                    step, params, config.config_hash,
+                    None if ladder is None else ladder.state(),
                 )
             if step == stop_after_steps:
                 return 0
@@ -176,13 +152,11 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
         "kappa": kappa(params, m, c_p),
         "peclet_threshold": peclet_threshold(params, m, c_p),
         "is_small_pe": abs(params.pe) < peclet_threshold(params, m, c_p),
-        "final_l2_to_const": final_record.l2_to_const if final_record else None,
+        "final_l2_to_const": final_l2,
         "cfl_dt_initial": cfl_dt(f0, params),
     }
-    if config.truncation_window is not None:
-        summary["truncation"] = _truncation_summary(
-            config, grid, params, mean0, window_times, window_snaps
-        )
+    if ladder is not None:
+        summary["truncation"] = _truncation_summary(config, ladder)
     with open(
         os.path.join(config.output_dir, "summary.json"), "w", encoding="utf-8"
     ) as fh:
@@ -191,27 +165,41 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     return 0
 
 
-def _truncation_summary(config, grid, params, mean0, times, snaps):
-    """Truncation-energy ladder of the strided snapshots in the config window."""
-    traj = Trajectory(
-        grid=grid,
-        params=params,
-        mean0=mean0,
-        times=times,
-        snapshots=snaps,
-        diagnostics=[],
-    )
+def _cut_csv(csv_path: str, k_max: int, step: int) -> float:
+    """Cut diagnostics.csv back to a checkpoint's step through a moved tmp file,
+    so an interruption leaves the old rows or the cut ones; return its l2_to_const."""
     try:
-        ladder = truncation_energy(
-            traj, config.truncation_window, config.truncation_k_max
+        with open(csv_path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError:
+        lines = []
+    if len(lines) < step + 2 or lines[0] != csv_header(k_max):
+        raise ParseError(
+            f"{csv_path}: needs the header and {step + 1} rows to resume "
+            f"from checkpoint step {step}; found {len(lines)} lines"
         )
+    try:
+        l2 = float(lines[step + 1].split(",")[2])  # the l2_to_const column
+    except (IndexError, ValueError) as exc:
+        raise ParseError(f"{csv_path}: malformed row for step {step}") from exc
+    tmp = csv_path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines[: step + 2]) + "\n")  # header + rows
+    os.replace(tmp, csv_path)
+    return l2
+
+
+def _truncation_summary(config, ladder):
+    """The truncation-energy ladder of the strided snapshots in the config window."""
+    try:
+        result = ladder.finish()
     except (WindowTooShort, ValueError) as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {
         "window": list(config.truncation_window),
-        "levels": list(ladder.levels),
-        "window_times": list(ladder.window_times),
-        "energies": list(ladder.energies),
+        "levels": list(result.levels),
+        "window_times": list(result.window_times),
+        "energies": list(result.energies),
     }
 
 

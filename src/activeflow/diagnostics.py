@@ -12,11 +12,12 @@ import numpy as np
 from .errors import (
     NegativeField,
     NonpositiveValue,
+    ParseError,
     TooFewPoints,
     TooFewSnapshots,
     WindowTooShort,
 )
-from .grid import TWO_PI, Field2, Field3
+from .grid import TWO_PI, Field2, Field3, GridSpec
 from .spectral import (
     SpectrumView,
     compute_p,
@@ -27,6 +28,7 @@ from .spectral import (
     laplacian2,
     l2_norm_2d,
     mode_energy,
+    synthesize,
     _cache,
 )
 
@@ -166,143 +168,111 @@ def truncation_levels(k_max: int) -> list[float]:
     return [0.5 * (1.0 - 2.0**-k) for k in range(k_max + 1)]
 
 
-def _ladder_core(
-    times: Sequence[float],
-    fields: Sequence[np.ndarray],
-    grads: Sequence[tuple[np.ndarray, ...]],
-    cell_volume: float,
-    window: tuple[float, float],
-    k_max: int,
-    dist_sq: np.ndarray | None,
-) -> TruncationLadder:
-    t_a, t_b = window
-    inside = [i for i, t in enumerate(times) if t_a - 1e-12 <= t <= t_b + 1e-12]
-    if len(inside) < k_max + 1:
-        raise WindowTooShort(
-            f"need at least {k_max + 1} snapshots in window, found {len(inside)}"
-        )
-    levels = truncation_levels(k_max)
-    mapped = []
-    energies = []
-    for k, c_k in enumerate(levels):
-        t_k = -0.5 * (1.0 + 2.0**-k)
-        w_k = t_a + (t_k + 1.0) * (t_b - t_a)
-        mapped.append(w_k)
-        idx = [i for i in inside if times[i] >= w_k - 1e-12]
-        sup_term = 0.0
-        grad_term = 0.0
-        for j, i in enumerate(idx):
-            cut = fields[i] - c_k
+class TruncationReducer:
+    """The truncation ladder as a streaming reduction over snapshots.
+
+    Snapshots arrive in increasing time as (t, values, grads); the canonical
+    windows T_k in [-1, -1/2] map affinely onto [t_a, t_b]. Only scalars are
+    kept: the first and last time added, the in-window count and, per level,
+    the sup of the truncated L2 energy, the left-endpoint time integral of the
+    masked gradient energy, and the last snapshot's masked gradient energy,
+    which waits for the next dt. state() is JSON-ready and resumes via `state`.
+    """
+
+    def __init__(self, window, k_max: int, cell_volume: float, state=None):
+        t_a, t_b = window
+        self.window, self.k_max, self.cell_volume = window, k_max, cell_volume
+        self.levels = truncation_levels(k_max)
+        self.window_times = [
+            t_a + (-0.5 * (1.0 + 2.0**-k) + 1.0) * (t_b - t_a) for k in range(k_max + 1)
+        ]
+        n = k_max + 1
+        s = state or dict(count=0, first=None, last=None,
+                          sup=[0.0] * n, grad=[0.0] * n, pending=[None] * n)
+        if any(len(s[key]) != n for key in ("sup", "grad", "pending")):
+            raise ParseError(f"truncation state does not hold {n} levels")
+        self.count, self.first, self.last = s["count"], s["first"], s["last"]
+        self.sup, self.grad, self.pending = s["sup"][:], s["grad"][:], s["pending"][:]
+
+    def state(self) -> dict:
+        return {"count": self.count, "first": self.first, "last": self.last,
+                "sup": self.sup, "grad": self.grad, "pending": self.pending}
+
+    def covers(self, t: float) -> bool:
+        t_a, t_b = self.window
+        return t_a - 1e-12 <= t <= t_b + 1e-12
+
+    def add(self, t: float, values=None, grads=None) -> None:
+        """Take the snapshot at t; values and grads are read only inside the window."""
+        self.first = t if self.first is None else self.first
+        prev, self.last = self.last, t
+        if not self.covers(t):
+            return
+        self.count += 1
+        for k, (c_k, w_k) in enumerate(zip(self.levels, self.window_times)):
+            if t < w_k - 1e-12:
+                continue
+            cut = values - c_k
             above = cut > 0.0
-            if dist_sq is not None:
-                radius = 0.5 * (1.0 + 2.0**-k)
-                above = above & (dist_sq < radius**2)
             trunc = np.where(above, cut, 0.0)
-            sup_term = max(sup_term, float((trunc**2).sum()) * cell_volume)
-            if j + 1 < len(idx):
-                dt = times[idx[j + 1]] - times[i]
-                g_sq = sum(
-                    float((np.where(above, g, 0.0) ** 2).sum()) for g in grads[i]
-                )
-                grad_term += dt * g_sq * cell_volume
-        energies.append(sup_term + grad_term)
-    return TruncationLadder(
-        k_max=k_max,
-        levels=tuple(levels),
-        window_times=tuple(mapped),
-        energies=tuple(energies),
-    )
+            self.sup[k] = max(self.sup[k], float((trunc**2).sum()) * self.cell_volume)
+            if self.pending[k] is not None:
+                self.grad[k] += (t - prev) * self.pending[k] * self.cell_volume
+            masked = (float((np.where(above, g, 0.0) ** 2).sum()) for g in grads)
+            self.pending[k] = sum(masked)
+
+    def finish(self, require_span: bool = True) -> TruncationLadder:
+        """The ladder; with require_span the times added must cover the window."""
+        t_a, t_b = self.window
+        if require_span and self.first is None:
+            raise WindowTooShort("trajectory holds no snapshots")
+        if require_span and not (self.first - 1e-12 <= t_a < t_b <= self.last + 1e-12):
+            raise ValueError(
+                f"window {self.window} outside trajectory span [{self.first}, {self.last}]"
+            )
+        if self.count < self.k_max + 1:
+            raise WindowTooShort(
+                f"need at least {self.k_max + 1} snapshots in window, found {self.count}"
+            )
+        energies = tuple(s + g for s, g in zip(self.sup, self.grad))
+        return TruncationLadder(
+            self.k_max, tuple(self.levels), tuple(self.window_times), energies
+        )
 
 
-def _spectral_grads(f: Field3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All three spectral partial derivatives from one forward transform."""
-    c = _cache(f.grid.n_x, f.grid.n_theta)
-    coeffs = np.fft.rfftn(f.values)
-    return tuple(
-        np.fft.irfftn(1j * c[d] * coeffs, s=f.grid.shape, axes=(0, 1, 2))
-        for d in ("d1", "d2", "d3")
-    )
-
-
-def _torus_dist_sq(f: Field3, center: tuple[float, float, float]) -> np.ndarray:
-    g = f.grid
-    x = g.x_values()
-    th = g.theta_values()
-    def axis_d(v, c):
-        d = np.abs((v - c) % TWO_PI)
-        return np.minimum(d, TWO_PI - d)
-    d1 = axis_d(x, center[0])[:, None, None]
-    d2 = axis_d(x, center[1])[None, :, None]
-    d3 = axis_d(th, center[2])[None, None, :]
-    return d1**2 + d2**2 + d3**2
+def _spectral_grads(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """The three spectral partial derivatives of the field with half spectrum coeffs."""
+    c = _cache(grid.n_x, grid.n_theta)
+    return tuple(synthesize(1j * c[d] * coeffs, grid) for d in ("d1", "d2", "d3"))
 
 
 def truncation_energy(
-    traj: "Trajectory",
-    window: tuple[float, float],
-    k_max: int,
-    spatial_center: tuple[float, float, float] | None = None,
+    traj: "Trajectory", window: tuple[float, float], k_max: int
 ) -> TruncationLadder:
     """De Giorgi truncation energies over an analysis window of a trajectory.
 
-    The canonical windows T_k in [-1, -1/2] are mapped affinely onto
-    [t_a, t_b]; gradients of the truncations are the indicator-masked
-    spectral gradients. Space-angle periodicity makes a global (unit) cutoff
-    admissible; pass spatial_center to additionally restrict the integrals to
-    the shrinking balls around that point.
+    Truncation gradients are the indicator-masked spectral gradients; by
+    space-angle periodicity the integrals run over the whole box.
     """
-    t_a, t_b = window
-    if not traj.times:
-        raise WindowTooShort("trajectory holds no snapshots")
-    if not (traj.times[0] - 1e-12 <= t_a < t_b <= traj.times[-1] + 1e-12):
-        raise ValueError(
-            f"window {window} outside trajectory span "
-            f"[{traj.times[0]}, {traj.times[-1]}]"
-        )
-    inside = [
-        i for i, t in enumerate(traj.times) if t_a - 1e-12 <= t <= t_b + 1e-12
-    ]
-    times = [traj.times[i] for i in inside]
-    snaps = [traj.snapshots[i] for i in inside]
-    fields = [snap.values for snap in snaps]
-    grads = [_spectral_grads(snap) for snap in snaps]
-    dist_sq = None
-    if spatial_center is not None:
-        dist_sq = _torus_dist_sq(traj.snapshots[0], spatial_center)
-    return _ladder_core(
-        times,
-        fields,
-        grads,
-        traj.grid.cell_volume,
-        window,
-        k_max,
-        dist_sq,
-    )
+    ladder = TruncationReducer(window, k_max, traj.grid.cell_volume)
+    for t, snap in zip(traj.times, traj.snapshots):
+        if ladder.covers(t):
+            ladder.add(t, snap.values, _spectral_grads(forward(snap).coeffs, traj.grid))
+        else:
+            ladder.add(t)
+    return ladder.finish()
 
 
 def truncation_energy_rescaled(
-    slices: Sequence["RescaledSlice"],
-    k_max: int,
-    spatial_shrink: bool = False,
+    slices: Sequence["RescaledSlice"], k_max: int
 ) -> TruncationLadder:
     """Truncation energies of unit-cylinder slices over the window [-1, 0]."""
     ordered = sorted(slices, key=lambda s: s.tau)
-    times = [s.tau for s in ordered]
-    fields = [s.values for s in ordered]
-    grads = [s.grads for s in ordered]
-    dist_sq = None
-    if spatial_shrink and ordered:
-        shape = ordered[0].values.shape
-        ax = [
-            (-1.0 + 2.0 * np.arange(m) / m) for m in shape
-        ]
-        dist_sq = (
-            ax[0][:, None, None] ** 2
-            + ax[1][None, :, None] ** 2
-            + ax[2][None, None, :] ** 2
-        )
     cell = ordered[0].cell_volume if ordered else 0.0
-    return _ladder_core(times, fields, grads, cell, (-1.0, 0.0), k_max, dist_sq)
+    ladder = TruncationReducer((-1.0, 0.0), k_max, cell)
+    for s in ordered:
+        ladder.add(s.tau, s.values, s.grads)
+    return ladder.finish(require_span=False)
 
 
 # --- density moment residual ----------------------------------------------------

@@ -32,6 +32,7 @@ from .spectral import (
     inverse,
     compute_rho,
     sample_on_axes,
+    synthesize,
 )
 
 
@@ -114,7 +115,7 @@ def _step_spectral(
     e_half, e_full = _semigroup(grid.n_x, grid.n_theta, params.de, dt)
     k1 = _advection_hat(values, grid, params)
     mid = e_half * (coeffs + 0.5 * dt * k1)
-    mid_values = np.fft.irfftn(mid * values.size, s=grid.shape, axes=(0, 1, 2))
+    mid_values = synthesize(mid, grid)
     k2 = _advection_hat(mid_values, grid, params)
     return e_full * coeffs + dt * e_half * k2
 
@@ -123,23 +124,24 @@ _CFL_WARNING = "time step exceeds the advective CFL bound"
 
 
 def march(
-    f: Field3, params: Params, n_steps: int, start_step: int = 0
+    f: Field3, params: Params, n_steps: int, start_step: int = 0, coeffs=None
 ) -> Iterator[tuple[int, np.ndarray, Field3]]:
     """The stepping core: yield (step, coeffs, field) for each step after start_step.
 
-    f is the field at start_step; the run ends after step n_steps. Warns once
+    f is the field at start_step and coeffs its half spectrum (forward(f) when
+    not given); the run ends after step n_steps. Warns once
     (without rejecting) when dt exceeds the CFL bound of f, and raises
     NumericalBlowup on non-finite output or >10x sup-norm growth in one step.
     """
     if params.dt > cfl_dt(f, params):
         warnings.warn(_CFL_WARNING, RuntimeWarning, stacklevel=2)
     grid = f.grid
-    n_total = grid.n_x * grid.n_x * grid.n_theta
-    coeffs = forward(f).coeffs
+    if coeffs is None:
+        coeffs = forward(f).coeffs
     prev_linf = float(np.abs(f.values).max())
     for step in range(start_step + 1, n_steps + 1):
         coeffs = _step_spectral(coeffs, f.values, grid, params)
-        values = np.fft.irfftn(coeffs * n_total, s=grid.shape, axes=(0, 1, 2))
+        values = synthesize(coeffs, grid)
         if not np.isfinite(values).all():
             raise NumericalBlowup("non-finite values after step", step=step)
         linf = float(np.abs(values).max())

@@ -79,11 +79,16 @@ def forward(f: Field3) -> SpectrumView:
     return SpectrumView(grid=f.grid, coeffs=np.fft.rfftn(f.values) / n_total)
 
 
+def synthesize(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Samples of a mean-normalized half spectrum; the one expression for it,
+    so a run resumed from a checkpointed spectrum rebuilds its field bit for bit."""
+    n_total = grid.n_x * grid.n_x * grid.n_theta
+    return np.fft.irfftn(coeffs * n_total, s=grid.shape, axes=(0, 1, 2))
+
+
 def inverse(s: SpectrumView) -> Field3:
     """Inverse of forward; exact round trip up to rounding."""
-    n_total = s.grid.n_x * s.grid.n_x * s.grid.n_theta
-    values = np.fft.irfftn(s.coeffs * n_total, s=s.grid.shape, axes=(0, 1, 2))
-    return Field3(grid=s.grid, values=values)
+    return Field3(grid=s.grid, values=synthesize(s.coeffs, s.grid))
 
 
 def dealias(s: SpectrumView) -> SpectrumView:

@@ -2,14 +2,18 @@
 
 Snapshot files are a single JSON header line followed by the raw contiguous
 float64 payload (little-endian, row-major i1, i2, i_theta), trivially
-parseable from any language. Checkpoints reuse the snapshot format with the
-config hash and step index in the header.
+parseable from any language. Checkpoints (format 2) carry the run's
+mean-normalized half spectrum instead (complex128, little-endian, row-major
+i1, i2, k_theta); their header adds the config hash, a zlib.crc32 of the
+payload and the truncation-ladder state as JSON floats (repr round-trips
+exactly), so a resumed run continues byte-identically.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,8 +21,10 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord
 from .errors import CheckpointMismatch, ParseError
 from .grid import Field3, GridSpec, Params
+from .spectral import SpectrumView
 
 FORMAT_VERSION = 1
+CHECKPOINT_FORMAT = 2
 
 
 def max_threads() -> int:
@@ -30,47 +36,49 @@ def max_threads() -> int:
         return 1
 
 
-def _header(f: Field3, time: float, step: int, params: Params, extra=None) -> dict:
-    header = {
+def _header(grid: GridSpec, time: float, step: int, params: Params, **extra) -> dict:
+    return {
         "format_version": FORMAT_VERSION,
-        "n_x": f.grid.n_x,
-        "n_theta": f.grid.n_theta,
+        "n_x": grid.n_x,
+        "n_theta": grid.n_theta,
         "time": time,
         "step": step,
-        "params": {
-            "pe": params.pe,
-            "de": params.de,
-            "dt": params.dt,
-            "dealias": params.dealias,
-        },
+        "params": {"pe": params.pe, "de": params.de, "dt": params.dt,
+                   "dealias": params.dealias},
         "byte_order": "little-endian",
         "element_type": "float64",
         "layout": "row-major i1,i2,itheta",
+        **extra,
     }
-    if extra:
-        header.update(extra)
-    return header
 
 
-def write_snapshot(
-    path: str, f: Field3, time: float, step: int, params: Params, extra=None
-) -> None:
-    header = _header(f, time, step, params, extra)
-    payload = np.ascontiguousarray(f.values, dtype="<f8").tobytes()
+def _write_file(path: str, header: dict, payload: bytes) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode())
         fh.write(b"\n")
         fh.write(payload)
 
 
-def read_snapshot(path: str) -> tuple[Field3, dict]:
+def _read_file(path: str) -> tuple[dict, bytes]:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
     try:
         header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: malformed snapshot header") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: malformed header") from exc
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: header is not a JSON object")
+    return header, payload
+
+
+def write_snapshot(path: str, f: Field3, time: float, step: int, params: Params) -> None:
+    header = _header(f.grid, time, step, params)
+    _write_file(path, header, np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+
+
+def read_snapshot(path: str) -> tuple[Field3, dict]:
+    header, payload = _read_file(path)
     grid = GridSpec(header["n_x"], header["n_theta"])
     expected = 8 * grid.n_x * grid.n_x * grid.n_theta
     if len(payload) != expected:
@@ -92,12 +100,12 @@ class SnapshotWriter:
         self._pool = ThreadPoolExecutor(max_workers=1) if max_threads() >= 2 else None
         self._pending = []
 
-    def submit(self, path, f, time, step, params, extra=None):
+    def submit(self, path, f, time, step, params):
         if self._pool is None:
-            write_snapshot(path, f, time, step, params, extra)
+            write_snapshot(path, f, time, step, params)
         else:
             self._pending.append(
-                self._pool.submit(write_snapshot, path, f, time, step, params, extra)
+                self._pool.submit(write_snapshot, path, f, time, step, params)
             )
 
     def close(self):
@@ -112,29 +120,54 @@ class SnapshotWriter:
 CHECKPOINT_NAME = "checkpoint.bin"
 
 
-def write_checkpoint(
-    out_dir: str, f: Field3, time: float, step: int, params: Params, config_hash: str
-) -> None:
-    tmp = os.path.join(out_dir, CHECKPOINT_NAME + ".tmp")
-    write_snapshot(
-        tmp, f, time, step, params, extra={"checkpoint": True, "config_hash": config_hash}
+def write_checkpoint(out_dir: str, s: SpectrumView, time: float, step: int,
+                     params: Params, config_hash: str, truncation=None) -> None:
+    """Write the carried half spectrum and ladder state, atomically."""
+    payload = np.ascontiguousarray(s.coeffs, dtype="<c16").tobytes()
+    header = _header(
+        s.grid, time, step, params, format_version=CHECKPOINT_FORMAT,
+        element_type="complex128", layout="row-major i1,i2,ktheta mean-normalized",
+        checkpoint=True, config_hash=config_hash, payload_crc32=zlib.crc32(payload),
+        truncation=truncation,
     )
+    tmp = os.path.join(out_dir, CHECKPOINT_NAME + ".tmp")
+    _write_file(tmp, header, payload)
     os.replace(tmp, os.path.join(out_dir, CHECKPOINT_NAME))
 
 
 def load_checkpoint(out_dir: str, config_hash: str):
-    """Return (field, time, step) or None; refuse on config-hash mismatch."""
+    """Return (spectrum, time, step, truncation state) or None.
+
+    CheckpointMismatch for another format or config; ParseError if corrupt.
+    """
     path = os.path.join(out_dir, CHECKPOINT_NAME)
     if not os.path.exists(path):
         return None
-    f, header = read_snapshot(path)
-    stored = header.get("config_hash")
+    header, payload = _read_file(path)
+    version, stored = header.get("format_version"), header.get("config_hash")
+    if version != CHECKPOINT_FORMAT:
+        raise CheckpointMismatch(
+            f"{path}: format {version!r} is not {CHECKPOINT_FORMAT}; refusing to resume"
+        )
     if stored != config_hash:
         raise CheckpointMismatch(
             f"checkpoint in {out_dir} was written by a different config "
             f"(hash {stored} != {config_hash}); refusing to resume"
         )
-    return f, float(header["time"]), int(header["step"])
+    try:
+        grid = GridSpec(header["n_x"], header["n_theta"])
+        time, step = float(header["time"]), int(header["step"])
+        crc, truncation = header["payload_crc32"], header["truncation"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed checkpoint header ({exc!r})") from exc
+    shape = (grid.n_x, grid.n_x, grid.n_theta // 2 + 1)
+    expected = 16 * shape[0] * shape[1] * shape[2]
+    if len(payload) != expected:
+        raise ParseError(f"{path}: payload is {len(payload)} bytes, not {expected}")
+    if zlib.crc32(payload) != crc:
+        raise ParseError(f"{path}: payload checksum does not match its header")
+    coeffs = np.frombuffer(payload, dtype="<c16").reshape(shape)
+    return SpectrumView(grid=grid, coeffs=coeffs), time, step, truncation
 
 
 # --- diagnostics CSV --------------------------------------------------------------

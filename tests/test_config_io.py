@@ -1,16 +1,23 @@
+import functools
 import json
 import math
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from activeflow import cli
 from activeflow.cli import cmd_simulate, main
 from activeflow.config import load_config, parse_config
 from activeflow.dynamics import run
 from activeflow.errors import ParseError, ValidationError
 from activeflow.grid import Params, make_initial
 from activeflow.storage import (
+    CHECKPOINT_NAME,
     csv_header,
     csv_row,
     read_csv,
@@ -36,6 +43,37 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def output_files(out_dir):
+    """Every output file but the checkpoint, name -> bytes."""
+    return {
+        path.name: path.read_bytes()
+        for path in sorted(pathlib.Path(out_dir).iterdir())
+        if path.name != CHECKPOINT_NAME
+    }
+
+
+def window_doc(out_dir, **overrides):
+    """An 8^3 run of 12 steps, snapshots every 2, a truncation window."""
+    doc = base_doc(
+        output_dir=out_dir,
+        grid={"n_x": 8, "n_theta": 8},
+        params={"pe": 0.3, "de": 1.0, "dt": 0.01},
+        t_end=0.12,
+        snapshot_stride=2,
+        checkpoint_every=5,
+        diagnostics={"k_max": 4, "truncation": {"window": [0.02, 0.12], "k_max": 3}},
+    )
+    doc.update(overrides)
+    return doc
+
+
+@functools.lru_cache(maxsize=1)
+def uninterrupted_window_run():
+    with tempfile.TemporaryDirectory() as tmp:
+        assert cmd_simulate(parse_config(window_doc(tmp))) == 0
+        return output_files(tmp)
 
 
 class TestConfigParsing:
@@ -197,16 +235,56 @@ class TestSimulateCommand:
                     assert row[key] == pytest.approx(rows[0][key], abs=1e-14)
 
     def test_resume_matches_uninterrupted(self, tmp_path):
-        doc_full = base_doc(output_dir=str(tmp_path / "full"), t_end=1.0)
-        doc_res = base_doc(output_dir=str(tmp_path / "res"), t_end=1.0)
+        window = {"k_max": 6, "truncation": {"window": [0.2, 0.9]}}
+        doc_full = base_doc(output_dir=str(tmp_path / "full"), t_end=1.0,
+                            diagnostics=window)
+        doc_res = base_doc(output_dir=str(tmp_path / "res"), t_end=1.0,
+                           diagnostics=window)
         assert cmd_simulate(parse_config(doc_full)) == 0
         cfg_res = parse_config(doc_res)
         assert cmd_simulate(cfg_res, stop_after_steps=37) == 0
         assert (tmp_path / "res" / "checkpoint.bin").exists()
         assert cmd_simulate(cfg_res) == 0
-        a, _ = read_snapshot(str(tmp_path / "full" / "snap_00000100.bin"))
-        b, _ = read_snapshot(str(tmp_path / "res" / "snap_00000100.bin"))
-        assert np.abs(a.values - b.values).max() <= 1e-14
+        full = output_files(str(tmp_path / "full"))
+        assert "energies" in json.loads(full["summary.json"])["truncation"]
+        assert len(full) == 13  # CSV, summary and 11 snapshots
+        assert output_files(str(tmp_path / "res")) == full
+
+    @settings(max_examples=12, deadline=None)
+    @given(stop=st.integers(1, 12))
+    def test_resume_at_any_step_is_byte_identical(self, stop):
+        # 12 steps: the final step is a stop too, which resumes with no step left
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = parse_config(window_doc(tmp))
+            assert cmd_simulate(cfg, stop_after_steps=stop) == 0
+            assert cmd_simulate(cfg) == 0
+            assert output_files(tmp) == uninterrupted_window_run()
+
+    def test_zero_step_run_reports_final_l2(self, tmp_path):
+        doc = base_doc(output_dir=str(tmp_path / "z"), t_end=0.0)
+        assert cmd_simulate(parse_config(doc)) == 0
+        summary = json.loads((tmp_path / "z" / "summary.json").read_text())
+        row = read_csv(str(tmp_path / "z" / "diagnostics.csv"))[0]
+        assert summary["final_l2_to_const"] == row["l2_to_const"]
+
+    def test_interrupted_csv_cut_keeps_the_rows(self, tmp_path, monkeypatch, capsys):
+        # checkpoint at step 40 of 50: a rerun resumes there and cuts the CSV
+        doc = window_doc(str(tmp_path / "cut"), t_end=0.5, checkpoint_every=40)
+        cfg = parse_config(doc)
+        assert cmd_simulate(cfg) == 0
+        done = output_files(doc["output_dir"])
+
+        def killed(src, dst):
+            raise KeyboardInterrupt("killed while cutting the CSV")
+
+        monkeypatch.setattr(cli.os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            cmd_simulate(cfg)
+        monkeypatch.undo()
+        csv = (tmp_path / "cut" / "diagnostics.csv").read_bytes()
+        assert csv == done["diagnostics.csv"]
+        assert cmd_simulate(cfg) == 0
+        assert output_files(doc["output_dir"]) == done
 
     def test_resume_refuses_short_csv(self, tmp_path, capsys):
         doc = base_doc(output_dir=str(tmp_path / "sh"), t_end=1.0)
@@ -218,6 +296,42 @@ class TestSimulateCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "ParseError"
         assert csv_path.read_text() == ""
+
+    def _damaged_checkpoint(self, tmp_path, capsys, damage):
+        """Exit code and error kind of a resume from a damaged checkpoint."""
+        doc = window_doc(str(tmp_path / "dmg"))
+        assert cmd_simulate(parse_config(doc), stop_after_steps=7) == 0
+        path = tmp_path / "dmg" / CHECKPOINT_NAME
+        path.write_bytes(damage(path.read_bytes()))
+        rc = main(["simulate", "--config", write_config(tmp_path, doc)])
+        return rc, json.loads(capsys.readouterr().err)["error"]["kind"]
+
+    def test_corrupt_checkpoint_refused(self, tmp_path, capsys):
+        def flip_last_byte(data):
+            return data[:-1] + bytes([data[-1] ^ 0x01])
+
+        assert self._damaged_checkpoint(tmp_path, capsys, flip_last_byte) == (
+            2, "ParseError"
+        )
+
+    @pytest.mark.parametrize("keep", [0, 100, -16])
+    def test_truncated_checkpoint_refused(self, tmp_path, capsys, keep):
+        rc = self._damaged_checkpoint(tmp_path, capsys, lambda data: data[:keep])
+        assert rc == (2, "ParseError")
+
+    def test_format_1_checkpoint_refused(self, tmp_path, capsys):
+        # format 1 held the physical field as float64, in the snapshot layout
+        def as_format_1(data):
+            header = json.loads(data.split(b"\n", 1)[0])
+            header.update(format_version=1, element_type="float64")
+            for key in ("payload_crc32", "truncation"):
+                del header[key]
+            values = np.zeros((8, 8, 8), dtype="<f8").tobytes()
+            return json.dumps(header, sort_keys=True).encode() + b"\n" + values
+
+        assert self._damaged_checkpoint(tmp_path, capsys, as_format_1) == (
+            2, "CheckpointMismatch"
+        )
 
     def test_checkpoint_mismatch_refused(self, tmp_path, capsys):
         out_dir = str(tmp_path / "ck")

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from activeflow import (
     ConstantData,
@@ -19,6 +22,8 @@ from activeflow import (
     truncation_energy,
 )
 from activeflow.diagnostics import (
+    TruncationReducer,
+    _spectral_grads,
     compute_record,
     truncation_energy_rescaled,
     truncation_levels,
@@ -33,6 +38,7 @@ from activeflow.errors import (
 )
 from activeflow.spectral import forward
 from conftest import field_from, random_field
+from ladder_reference import reference_ladder
 
 TWO_PI = 2.0 * math.pi
 
@@ -207,15 +213,6 @@ class TestTruncationEnergy:
             span = 1.0 - ladder.window_times[k]
             assert ladder.energies[k] == pytest.approx(sup + span * grad_sq, rel=1e-10)
 
-    def test_spatial_shrinking_reduces_energy(self, grid8):
-        traj = constant_trajectory(grid8, 1.0, np.linspace(0.0, 1.0, 9))
-        full = truncation_energy(traj, (0.0, 1.0), 4)
-        shrunk = truncation_energy(
-            traj, (0.0, 1.0), 4, spatial_center=(math.pi, math.pi, math.pi)
-        )
-        assert all(s <= f for s, f in zip(shrunk.energies, full.energies))
-        assert shrunk.energies[0] < full.energies[0]
-
     def test_rescaled_constant_slices(self, grid8):
         f = Field3(grid=grid8, values=np.full(grid8.shape, 0.3))
         slices = [
@@ -229,6 +226,93 @@ class TestTruncationEnergy:
         for c_k, energy in zip(ladder.levels, ladder.energies):
             expected = max(value - c_k, 0.0) ** 2 * 8.0
             assert energy == pytest.approx(expected, rel=1e-10, abs=1e-30)
+
+
+CELL = 0.3  # not a power of two, so the order of the products shows
+
+
+def ladder_inputs(seed, n_snap, amplitude):
+    """Increasing times, fields in [0, amplitude) and random gradients on 4^3."""
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.05, 0.2, n_snap)).tolist()
+    fields = [amplitude * rng.random((4, 4, 4)) for _ in times]
+    grads = [tuple(rng.standard_normal((4, 4, 4)) for _ in range(3)) for _ in times]
+    return times, fields, grads
+
+
+def reduce_all(window, k_max, times, fields, grads, state=None):
+    ladder = TruncationReducer(window, k_max, CELL, state)
+    for t, values, g in zip(times, fields, grads):
+        ladder.add(t, values, g)
+    return ladder
+
+
+class TestTruncationReducer:
+    """The streaming reducer against the list-based reference, float for float."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_snap=st.integers(1, 14),
+        k_max=st.integers(0, 6),
+        t_a=st.floats(0.0, 0.8),
+        width=st.floats(0.1, 2.5),
+    )
+    def test_matches_reference(self, seed, n_snap, k_max, t_a, width):
+        times, fields, grads = ladder_inputs(seed, n_snap, amplitude=1.2)
+        window = (t_a, t_a + width)
+        ladder = reduce_all(window, k_max, times, fields, grads)
+        try:
+            want = reference_ladder(times, fields, grads, CELL, window, k_max)
+        except WindowTooShort as exc:
+            with pytest.raises(WindowTooShort) as info:
+                ladder.finish(require_span=False)
+            assert str(info.value) == str(exc)
+            return
+        got = ladder.finish(require_span=False)
+        assert (got.window_times, got.energies) == want
+
+    def test_high_amplitude_upper_rungs(self):
+        # fields reach 1.2 > C_k for every k, so no rung is trivially zero
+        times, fields, grads = ladder_inputs(3, 12, amplitude=1.2)
+        window = (times[0], times[-1])
+        got = reduce_all(window, 6, times, fields, grads).finish()
+        want = reference_ladder(times, fields, grads, CELL, window, 6)
+        assert all(e > 0.0 for e in got.energies)
+        assert (got.window_times, got.energies) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cut=st.integers(0, 12))
+    def test_state_resumes_through_json(self, seed, cut):
+        times, fields, grads = ladder_inputs(seed, 12, amplitude=1.2)
+        window = (times[1], times[-2])
+        whole = reduce_all(window, 4, times, fields, grads)
+        head = reduce_all(window, 4, times[:cut], fields[:cut], grads[:cut])
+        state = json.loads(json.dumps(head.state()))
+        tail = reduce_all(window, 4, times[cut:], fields[cut:], grads[cut:], state)
+        assert tail.finish() == whole.finish()
+
+    def test_trajectory_feed_matches_reference(self, grid8):
+        f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 1)), grid8)
+        traj = run(f0, Params(pe=0.3, de=1.0, dt=0.02), 0.4, snapshot_stride=2)
+        fields = [s.values for s in traj.snapshots]
+        grads = [_spectral_grads(forward(s).coeffs, grid8) for s in traj.snapshots]
+        want = reference_ladder(
+            traj.times, fields, grads, grid8.cell_volume, (0.1, 0.4), 3
+        )
+        got = truncation_energy(traj, (0.1, 0.4), 3)
+        assert (got.window_times, got.energies) == want
+
+    def test_span_errors_keep_their_text(self, grid8):
+        traj = constant_trajectory(grid8, 0.4, [0.12, 0.2, 0.3, 0.4])
+        with pytest.raises(ValueError) as info:
+            truncation_energy(traj, (0.1, 0.4), 2)
+        assert str(info.value) == (
+            "window (0.1, 0.4) outside trajectory span [0.12, 0.4]"
+        )
+        empty = constant_trajectory(grid8, 0.4, [])
+        with pytest.raises(WindowTooShort, match="trajectory holds no snapshots"):
+            truncation_energy(empty, (0.1, 0.4), 2)
 
 
 class TestMomentResidual:

@@ -30,7 +30,7 @@ from activeflow.oracle import (
     fd_rhs,
     fd_run,
 )
-from activeflow.spectral import _cache
+from activeflow.spectral import _cache, forward, synthesize
 from conftest import field_from
 
 TWO_PI = 2.0 * math.pi
@@ -118,10 +118,36 @@ class TestTransformCount:
         n = _count_transforms(monkeypatch, lambda: list(march(f0, params, 5)))
         assert n == 1 + 4 * 5
 
+    def test_carried_spectrum_skips_the_startup_transform(self, grid16, monkeypatch):
+        f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 1)), grid16)
+        params = Params(pe=0.3, de=1.0, dt=0.01)
+        coeffs = forward(f0).coeffs
+        n = _count_transforms(
+            monkeypatch, lambda: list(march(f0, params, 5, coeffs=coeffs))
+        )
+        assert n == 4 * 5
+
     def test_rhs_makes_three(self, grid16, monkeypatch):
         f = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 1)), grid16)
         params = Params(pe=0.3, de=1.0, dt=0.01)
         assert _count_transforms(monkeypatch, lambda: rhs(f, params)) == 3
+
+
+class TestMarchResume:
+    def test_restart_from_carried_spectrum_is_bit_identical(self, grid16):
+        # a resume holds only the spectrum at step k; its field is rebuilt by
+        # the same expression march uses, so the continuation is exact
+        f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 1, 1)), grid16)
+        params = Params(pe=0.3, de=1.0, dt=0.01)
+        whole = list(march(f0, params, 8))
+        _, coeffs, f = whole[2]
+        rebuilt = Field3(grid=grid16, values=synthesize(coeffs, grid16))
+        assert np.array_equal(rebuilt.values, f.values)
+        resumed = list(march(rebuilt, params, 8, start_step=3, coeffs=coeffs))
+        assert [s for s, _, _ in resumed] == list(range(4, 9))
+        for (_, c_a, f_a), (_, c_b, f_b) in zip(whole[3:], resumed):
+            assert np.array_equal(c_a, c_b)
+            assert np.array_equal(f_a.values, f_b.values)
 
 
 class TestCfl:
