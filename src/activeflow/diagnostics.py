@@ -19,12 +19,10 @@ from .errors import (
 )
 from .grid import TWO_PI, Field2, Field3, GridSpec
 from .spectral import (
-    SpectrumView,
     compute_p,
     compute_rho,
     deriv2,
     forward,
-    grad_l2,
     laplacian2,
     l2_norm_2d,
     mode_energy,
@@ -62,7 +60,7 @@ def mass(f: Field3) -> float:
 
 
 def lp_ladder(f: Field3, k_max: int) -> list[float]:
-    """L^(2^k) norms for k = 0..k_max, by repeated squaring.
+    """L^(2^k) norms for k = 0..k_max, by repeated squaring in place.
 
     Tiny negative entries (>= -1e-10) are clipped to zero; anything more
     negative raises NegativeField.
@@ -77,7 +75,7 @@ def lp_ladder(f: Field3, k_max: int) -> list[float]:
         norm_pow = float(v.sum()) * dv  # integral of f^(2^k)
         out.append(norm_pow ** (1.0 / 2**k))
         if k < k_max:
-            v = v * v
+            np.multiply(v, v, out=v)
     return out
 
 
@@ -92,8 +90,7 @@ def _tail_mask(n: int, nt: int, fraction: float) -> np.ndarray:
     )
 
 
-def _tail_from_spectrum(s, n: int, nt: int, fraction: float) -> float:
-    energy = mode_energy(s)
+def _tail_from_energy(energy, n: int, nt: int, fraction: float) -> float:
     total = float(energy.sum()) - float(energy[0, 0, 0])
     if total <= 1e-300:
         return 0.0
@@ -102,8 +99,8 @@ def _tail_from_spectrum(s, n: int, nt: int, fraction: float) -> float:
 
 def spectral_tail(f: Field3, fraction: float = 0.25) -> float:
     """Fraction of nonconstant L2 energy in modes beyond fraction * n per axis."""
-    return _tail_from_spectrum(
-        forward(f), f.grid.n_x, f.grid.n_theta, fraction
+    return _tail_from_energy(
+        mode_energy(forward(f)), f.grid.n_x, f.grid.n_theta, fraction
     )
 
 
@@ -115,11 +112,18 @@ def compute_record(
     k_max: int = 6,
     tail_fraction: float = 0.25,
 ) -> DiagnosticsRecord:
-    """Evaluate all per-step observables for f, whose half spectrum is coeffs."""
-    s = SpectrumView(grid=f.grid, coeffs=coeffs)
+    """Evaluate all per-step observables for f, whose half spectrum is coeffs.
+
+    |coeffs|^2 is formed once for the gradient norm and the spectral tail,
+    with grad_l2's and mode_energy's order of operations.
+    """
+    c = _cache(f.grid.n_x, f.grid.n_theta)
     rho = compute_rho(f)
     dv = f.grid.cell_volume
-    l2c = math.sqrt(float(((f.values - mean0) ** 2).sum()) * dv)
+    dev = f.values - mean0
+    l2c = math.sqrt(float(np.multiply(dev, dev, out=dev).sum()) * dv)
+    abs_sq = np.abs(coeffs) ** 2
+    weight = TWO_PI**3 * c["mult"]
     return DiagnosticsRecord(
         t=t,
         mass=f.mean(),
@@ -127,8 +131,10 @@ def compute_record(
         linf=float(np.abs(f.values).max()),
         rho_min=float(rho.values.min()),
         rho_max=float(rho.values.max()),
-        grad_l2=grad_l2(f, s),
-        spectral_tail=_tail_from_spectrum(s, f.grid.n_x, f.grid.n_theta, tail_fraction),
+        grad_l2=math.sqrt(float((weight * c["k_sq"] * abs_sq).sum())),
+        spectral_tail=_tail_from_energy(
+            weight * abs_sq, f.grid.n_x, f.grid.n_theta, tail_fraction
+        ),
         lp_ladder=tuple(lp_ladder(f, k_max)),
     )
 

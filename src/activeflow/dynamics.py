@@ -9,7 +9,8 @@ march is the one stepping core: it carries the half-spectrum state from step
 to step and owns the CFL warning and the blowup checks. run, step_imex, the
 simulate command and the stationary solver all consume it. A step costs four
 transforms: a forward one per advection stage and the inverses of the stage-2
-midpoint and the new state, which is the next stage-1 input.
+midpoint and the new state, which is the next stage-1 input. The forward
+transforms compute only the modes the 2/3 rule keeps (spectral.forward_band).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .spectral import (
     SpectrumView,
     _cache,
     forward,
+    forward_band,
     inverse,
     compute_rho,
     sample_on_axes,
@@ -56,30 +58,39 @@ class Trajectory:
 def _advection_hat(values: np.ndarray, grid: GridSpec, params: Params) -> np.ndarray:
     """Half-spectrum of -Pe * div_x((1 - rho) f e(theta)) from physical values.
 
-    One forward transform gives the half spectrum B of (1 - rho) f. A factor
-    cos(theta) or sin(theta) shifts the theta index by one, so mode m is
-    a_lo B[m-1] + a_hi B[m+1], a_lo/hi = -Pe (d1 -/+ i d2) / (2 n_total); past
-    the edges, B[-1] and B[n_theta/2+1] are the conjugates at -k_x of planes 1
-    and n_theta/2 - 1. 2/3-dealiased when enabled; k = 0 is exactly zero.
+    One band-limited forward transform gives the half spectrum B of
+    (1 - rho) f on the kept modes: the 2/3 band with dealias (the mask is
+    never applied, the modes outside it are never computed), all of them
+    without. A factor cos(theta) or sin(theta) shifts the theta index by one,
+    so mode m is a_lo B[m-1] + a_hi B[m+1], a_lo/hi = -Pe (d1 -/+ i d2) /
+    (2 n_total); past the edges, B[-1] and B[n_theta/2+1] are the conjugates
+    at -k_x of planes 1 and n_theta/2 - 1. Modes outside the band are zero
+    and so is k = 0.
     """
     c = _cache(grid.n_x, grid.n_theta)
+    half = grid.n_theta // 2 + 1
+    keep, planes = c["band"] if params.dealias else (np.arange(grid.n_x), half)
     rho = values.sum(axis=2) * grid.dtheta
-    spec = np.fft.rfftn((1.0 - rho)[:, :, None] * values)
-    neg = -np.arange(grid.n_x) % grid.n_x
+    spec = forward_band((1.0 - rho)[:, :, None] * values, keep, min(planes + 1, half))
+    neg = -np.arange(keep.size) % keep.size
     edge_lo = spec[:, :, 1][neg][:, neg].conj()
-    edge_hi = spec[:, :, grid.n_theta // 2 - 1][neg][:, neg].conj()
+    edge_hi = spec[:, :, half - 2][neg][:, neg].conj() if planes == half else None
     scale = -0.5j * params.pe / values.size
-    a_lo = scale * (c["d1"] - 1j * c["d2"])
-    a_hi = scale * (c["d1"] + 1j * c["d2"])
-    out = np.empty_like(spec)
-    np.multiply(spec[:, :, :-1], a_lo, out=out[:, :, 1:])
+    d1, d2 = c["d1"][keep], c["d2"][:, keep]
+    a_lo = scale * (d1 - 1j * d2)
+    a_hi = scale * (d1 + 1j * d2)
+    out = np.empty(spec.shape[:2] + (planes,), dtype=spec.dtype)
+    np.multiply(spec[:, :, : planes - 1], a_lo, out=out[:, :, 1:])
     out[:, :, 0] = a_lo[:, :, 0] * edge_lo
     spec[:, :, 1:] *= a_hi
-    out[:, :, :-1] += spec[:, :, 1:]
-    out[:, :, -1] += a_hi[:, :, 0] * edge_hi
-    if params.dealias:
-        out *= c["dealias"]
-    return out
+    out[:, :, : spec.shape[2] - 1] += spec[:, :, 1:]
+    if edge_hi is not None:
+        out[:, :, -1] += a_hi[:, :, 0] * edge_hi
+    if keep.size == grid.n_x and planes == half:
+        return out
+    full = np.zeros((grid.n_x, grid.n_x, half), dtype=out.dtype)
+    full[:, :, :planes][np.ix_(keep, keep)] = out
+    return full
 
 
 def rhs(f: Field3, params: Params) -> Field3:
@@ -142,9 +153,9 @@ def march(
     for step in range(start_step + 1, n_steps + 1):
         coeffs = _step_spectral(coeffs, f.values, grid, params)
         values = synthesize(coeffs, grid)
-        if not np.isfinite(values).all():
+        linf = float(np.abs(values).max())  # NaN or inf if any value is
+        if not math.isfinite(linf):
             raise NumericalBlowup("non-finite values after step", step=step)
-        linf = float(np.abs(values).max())
         if linf > 10.0 * prev_linf and prev_linf > 0.0:
             raise NumericalBlowup("sup norm grew more than 10x in one step", step=step)
         prev_linf = linf

@@ -38,6 +38,8 @@ def _cache(n_x: int, n_theta: int):
     dealias_mask = (
         (np.abs(k1) <= cut_x) & (np.abs(k2) <= cut_x) & (k3 <= cut_t)
     )
+    # The same 2/3 band as x-wavenumber indices and a count of theta planes.
+    band = (np.flatnonzero(np.abs(kx) <= cut_x), cut_t + 1)
 
     # Parseval multiplicity of the half-spectrum angle axis.
     mult = np.full(n_theta // 2 + 1, 2.0)
@@ -55,6 +57,7 @@ def _cache(n_x: int, n_theta: int):
         "k_sq": k1**2 + k2**2 + k3**2,
         "kx_sq": k1**2 + k2**2,
         "dealias": dealias_mask,
+        "band": band,
         "mult": mult[None, None, :],
         "cos_theta": np.cos(theta),
         "sin_theta": np.sin(theta),
@@ -79,11 +82,32 @@ def forward(f: Field3) -> SpectrumView:
     return SpectrumView(grid=f.grid, coeffs=np.fft.rfftn(f.values) / n_total)
 
 
+def forward_band(values: np.ndarray, keep: np.ndarray, planes: int) -> np.ndarray:
+    """Unnormalized rfftn(values) on the modes keep x keep x [0, planes) only.
+
+    rfftn's axis order and pocketfft calls, one 1-D line at a time: rfft along
+    theta, fft along x2 on the first `planes` planes, fft along x1 on the kept
+    x2-lines. The kept modes are therefore rfftn's bit for bit. keep lists
+    x-wavenumber indices in fftfreq order.
+    """
+    spec = np.fft.rfft(values, axis=2)[:, :, :planes]
+    spec = np.fft.fft(spec, axis=1).take(keep, axis=1)
+    np.fft.fft(spec, axis=0, out=spec)
+    return spec[keep]
+
+
 def synthesize(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Samples of a mean-normalized half spectrum; the one expression for it,
-    so a run resumed from a checkpointed spectrum rebuilds its field bit for bit."""
+    so a run resumed from a checkpointed spectrum rebuilds its field bit for bit.
+
+    irfftn's axis order and calls, with the x1 and x2 inverses run in place
+    on the one scaled copy: the same bits without two spectrum-sized temporaries.
+    """
     n_total = grid.n_x * grid.n_x * grid.n_theta
-    return np.fft.irfftn(coeffs * n_total, s=grid.shape, axes=(0, 1, 2))
+    scaled = coeffs * n_total
+    np.fft.ifft(scaled, axis=0, out=scaled)
+    np.fft.ifft(scaled, axis=1, out=scaled)
+    return np.fft.irfft(scaled, grid.n_theta, axis=2)
 
 
 def inverse(s: SpectrumView) -> Field3:

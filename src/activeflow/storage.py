@@ -6,7 +6,9 @@ parseable from any language. Checkpoints (format 2) carry the run's
 mean-normalized half spectrum instead (complex128, little-endian, row-major
 i1, i2, k_theta); their header adds the config hash, a zlib.crc32 of the
 payload and the truncation-ladder state as JSON floats (repr round-trips
-exactly), so a resumed run continues byte-identically.
+exactly), so a resumed run continues byte-identically. Snapshots and
+checkpoints are written to a ".tmp" sibling and moved into place with
+os.replace, so an interrupted write leaves no partial file.
 """
 
 from __future__ import annotations
@@ -53,10 +55,13 @@ def _header(grid: GridSpec, time: float, step: int, params: Params, **extra) -> 
 
 
 def _write_file(path: str, header: dict, payload: bytes) -> None:
-    with open(path, "wb") as fh:
+    """Write through path + ".tmp" and os.replace: path is whole or absent."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode())
         fh.write(b"\n")
         fh.write(payload)
+    os.replace(tmp, path)
 
 
 def _read_file(path: str) -> tuple[dict, bytes]:
@@ -130,9 +135,7 @@ def write_checkpoint(out_dir: str, s: SpectrumView, time: float, step: int,
         checkpoint=True, config_hash=config_hash, payload_crc32=zlib.crc32(payload),
         truncation=truncation,
     )
-    tmp = os.path.join(out_dir, CHECKPOINT_NAME + ".tmp")
-    _write_file(tmp, header, payload)
-    os.replace(tmp, os.path.join(out_dir, CHECKPOINT_NAME))
+    _write_file(os.path.join(out_dir, CHECKPOINT_NAME), header, payload)
 
 
 def load_checkpoint(out_dir: str, config_hash: str):

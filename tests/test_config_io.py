@@ -286,6 +286,31 @@ class TestSimulateCommand:
         assert cmd_simulate(cfg) == 0
         assert output_files(doc["output_dir"]) == done
 
+    def test_interrupted_snapshot_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        # a kill at the rename of the step-6 snapshot, after the checkpoint at
+        # step 5: the snapshots on disk are whole, that one is absent, and the
+        # rerun resumes from step 5 to the uninterrupted run's files
+        doc = window_doc(str(tmp_path / "snap"))
+        cfg = parse_config(doc)
+        real_replace = os.replace
+
+        def killed(src, dst):
+            if os.path.basename(dst) == "snap_00000006.bin":
+                raise KeyboardInterrupt("killed while renaming a snapshot")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            cmd_simulate(cfg)
+        monkeypatch.undo()
+        out = tmp_path / "snap"
+        snaps = sorted(path.name for path in out.glob("snap_*.bin"))
+        assert snaps == [f"snap_{step:08d}.bin" for step in (0, 2, 4)]
+        for name in snaps:
+            read_snapshot(str(out / name))
+        assert cmd_simulate(cfg) == 0
+        assert output_files(doc["output_dir"]) == uninterrupted_window_run()
+
     def test_resume_refuses_short_csv(self, tmp_path, capsys):
         doc = base_doc(output_dir=str(tmp_path / "sh"), t_end=1.0)
         assert cmd_simulate(parse_config(doc), stop_after_steps=20) == 0

@@ -36,7 +36,8 @@ from activeflow.errors import (
     TooFewSnapshots,
     WindowTooShort,
 )
-from activeflow.spectral import forward
+from activeflow.grid import make_grid
+from activeflow.spectral import forward, grad_l2
 from conftest import field_from, random_field
 from ladder_reference import reference_ladder
 
@@ -70,6 +71,18 @@ class TestMass:
         assert mass(f0) == pytest.approx(1.0 / TWO_PI**3, rel=1e-13)
 
 
+def _reference_lp_ladder(f, k_max):
+    """lp_ladder as it was before squaring in place: v = v * v per level."""
+    dv = f.grid.cell_volume
+    v = np.clip(f.values, 0.0, None)
+    out = []
+    for k in range(k_max + 1):
+        out.append((float(v.sum()) * dv) ** (1.0 / 2**k))
+        if k < k_max:
+            v = v * v
+    return out
+
+
 class TestLpLadder:
     def test_constant_closed_form(self, grid8):
         c = 0.37
@@ -97,6 +110,25 @@ class TestLpLadder:
         values[1, 1, 1] = -5e-11
         ladder = lp_ladder(Field3(grid=grid8, values=values), 2)
         assert all(np.isfinite(ladder))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_x=st.integers(2, 6).map(lambda k: 2 * k),
+        n_theta=st.integers(2, 6).map(lambda k: 2 * k),
+        k_max=st.integers(0, 8),
+        scale=st.floats(0.05, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_squaring_matches_repeated_squaring(
+        self, n_x, n_theta, k_max, scale, seed
+    ):
+        grid = make_grid(n_x, n_theta)
+        values = scale * np.random.default_rng(seed).random(grid.shape)
+        values[0, 0, 0] = -5e-11  # clipped to zero
+        f = Field3(grid=grid, values=values)
+        before = f.values.copy()
+        assert lp_ladder(f, k_max) == _reference_lp_ladder(f, k_max)
+        assert np.array_equal(f.values, before)
 
     def test_normalized_monotonicity_random_fields(self, grid8):
         rng = np.random.default_rng(17)
@@ -403,5 +435,11 @@ class TestRecordFromSpectrum:
             assert getattr(carried, name) == getattr(fresh, name)
         assert carried.grad_l2 == pytest.approx(fresh.grad_l2, rel=1e-12, abs=0.0)
         assert abs(carried.spectral_tail - fresh.spectral_tail) <= 1e-12
+        # one |coeffs|^2 for both, in grad_l2's and mode_energy's operation order
+        s = forward(f)
+        assert fresh.grad_l2 == grad_l2(f, s)
+        assert fresh.spectral_tail == spectral_tail(f)
+        dev_sq = float(((f.values - f0.mean()) ** 2).sum())
+        assert fresh.l2_to_const == math.sqrt(dev_sq * f.grid.cell_volume)
         if kind == "random":
             assert fresh.spectral_tail > 1e-6  # the tail carries real energy here

@@ -30,7 +30,9 @@ from activeflow.oracle import (
     fd_rhs,
     fd_run,
 )
+from activeflow import cli, diagnostics, dynamics, spectral
 from activeflow.spectral import _cache, forward, synthesize
+from advection_reference import reference_advection_hat
 from conftest import field_from
 
 TWO_PI = 2.0 * math.pi
@@ -97,16 +99,62 @@ class TestAdvectionShift:
 
 
 def _count_transforms(monkeypatch, fn) -> int:
-    """Number of numpy.fft.rfftn/irfftn calls made by fn()."""
+    """Number of 3-D transforms fn() makes, counted at the solver's own entry
+    points wherever an activeflow module binds them: spectral.forward, the
+    band forward spectral.forward_band and the inverse spectral.synthesize."""
     calls = [0]
-    for name in ("rfftn", "irfftn"):
-        def counted(*args, _orig=getattr(np.fft, name), **kwargs):
+    for name in ("forward", "forward_band", "synthesize"):
+        orig = getattr(spectral, name)
+
+        def counted(*args, _orig=orig, **kwargs):
             calls[0] += 1
             return _orig(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+
+        for module in (spectral, dynamics, diagnostics, cli):
+            if getattr(module, name, None) is orig:
+                monkeypatch.setattr(module, name, counted)
     fn()
     monkeypatch.undo()
     return calls[0]
+
+
+class TestBandForward:
+    """The band-limited transform keeps rfftn's bits on the modes it computes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_x=st.integers(2, 8).map(lambda k: 2 * k),
+        n_theta=st.integers(2, 8).map(lambda k: 2 * k),
+        dealias=st.booleans(),
+        pe=st.floats(-3.0, -0.01) | st.floats(0.01, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_x=8, n_theta=4, dealias=True, pe=0.7, seed=0)
+    @example(n_x=4, n_theta=4, dealias=False, pe=0.7, seed=3)
+    @example(n_x=4, n_theta=16, dealias=True, pe=-1.3, seed=1)
+    @example(n_x=16, n_theta=6, dealias=False, pe=0.4, seed=2)
+    def test_advection_equals_full_transform_reference(
+        self, n_x, n_theta, dealias, pe, seed
+    ):
+        grid = make_grid(n_x, n_theta)
+        values = 0.01 + 0.02 * np.random.default_rng(seed).random(grid.shape)
+        params = Params(pe=pe, de=1.0, dt=0.01, dealias=dealias)
+        out = _advection_hat(values, grid, params)
+        assert out[0, 0, 0] == 0.0
+        assert np.array_equal(out, reference_advection_hat(values, grid, params))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_x=st.integers(2, 8).map(lambda k: 2 * k),
+        n_theta=st.integers(2, 8).map(lambda k: 2 * k),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kept_modes_are_rfftn_bits(self, n_x, n_theta, seed):
+        values = np.random.default_rng(seed).random((n_x, n_x, n_theta))
+        keep, planes = _cache(n_x, n_theta)["band"]
+        band = spectral.forward_band(values, keep, planes)
+        full = np.fft.rfftn(values)[:, :, :planes][np.ix_(keep, keep)]
+        assert np.array_equal(band.view(np.uint64), full.view(np.uint64))
 
 
 class TestTransformCount:
