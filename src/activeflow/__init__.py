@@ -4,7 +4,6 @@ advection-diffusion model of active particles on the periodic box (0, 2*pi)^3.
 
 from .grid import (
     ConstantData,
-    Field2,
     Field3,
     GridSpec,
     InitialDataSpec,
@@ -16,10 +15,7 @@ from .grid import (
     make_initial,
 )
 from .spectral import (
-    SpectrumView,
-    compute_p,
     compute_rho,
-    dealias,
     forward,
     inverse,
     poincare_constant,
@@ -39,10 +35,7 @@ from .diagnostics import (
     TruncationLadder,
     fit_decay_rate,
     lp_ladder,
-    mass,
-    moment_residual,
     parabolic_norm,
-    spectral_tail,
     truncation_energy,
     truncation_energy_rescaled,
 )
@@ -58,7 +51,6 @@ from .equilibrium import (
 from .oracle import (
     OracleConfig,
     dense_poincare,
-    euler_run_spectral,
     exact_linear_solution,
     fd_rhs,
     fd_run,

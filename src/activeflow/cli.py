@@ -3,7 +3,9 @@
 Subcommands: simulate, verify, decay, stationary, oracle-compare. All of them
 take a single --config JSON path; the config owns every physical and numerical
 setting so runs are reproducible artifacts. Exit codes: 0 ok, 1 verification
-failure, 2 runtime error (machine-readable JSON on stderr).
+failure, 2 any other error (a config value out of range, an I/O failure such
+as an output_dir that cannot be made, a blowup, a refused checkpoint), with a
+machine-readable JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ from .equilibrium import (
 )
 from .errors import (
     ActiveFlowError,
-    ConfigError,
     NotConverged,
     NumericalBlowup,
     ParseError,
     WindowTooShort,
 )
 from .grid import Field3, make_initial
-from .spectral import SpectrumView, forward, poincare_constant, synthesize
+from .spectral import forward, poincare_constant, synthesize
 from .storage import (
     SnapshotWriter,
     csv_header,
@@ -84,7 +85,7 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
 
     resume = load_checkpoint(config.output_dir, config.config_hash)
     if resume is not None:
-        spec, _, start_step, ladder_state = resume
+        coeffs, _, start_step, ladder_state = resume
         final_l2 = _cut_csv(csv_path, config.k_max, start_step)
         csv_fh = open(csv_path, "a", encoding="utf-8")
     else:
@@ -115,11 +116,10 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     try:
         f = None  # stays None on a final-step resume: no step is left to take
         if resume is None:
-            f, coeffs = f0, forward(f0).coeffs
+            f, coeffs = f0, forward(f0)
             final_l2 = write_row(f0, coeffs, 0.0)
             snapshot(0, f0, coeffs)
         elif start_step < n_steps:
-            coeffs = spec.coeffs
             f = Field3(grid=grid, values=synthesize(coeffs, grid))
         steps = () if f is None else march(f, params, n_steps, start_step, coeffs)
         for step, coeffs, f in steps:
@@ -133,9 +133,8 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
             if at_checkpoint or step == stop_after_steps:
                 csv_fh.flush()
                 write_checkpoint(
-                    config.output_dir, SpectrumView(grid=grid, coeffs=coeffs), t,
-                    step, params, config.config_hash,
-                    None if ladder is None else ladder.state(),
+                    config.output_dir, coeffs, grid, t, step, params,
+                    config.config_hash, None if ladder is None else ladder.state(),
                 )
             if step == stop_after_steps:
                 return 0
@@ -291,12 +290,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config")
     args = parser.parse_args(argv)
 
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return 2
-
     handlers = {
         "simulate": cmd_simulate,
         "verify": cmd_verify,
@@ -305,11 +298,11 @@ def main(argv=None) -> int:
         "oracle-compare": cmd_oracle_compare,
     }
     try:
-        return handlers[args.command](config)
+        return handlers[args.command](load_config(args.config))
     except NumericalBlowup as exc:
         _emit_error("NumericalBlowup", str(exc), step=exc.step)
         return 2
-    except ActiveFlowError as exc:
+    except (ActiveFlowError, OSError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 2
 

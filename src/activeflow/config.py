@@ -77,7 +77,7 @@ def _integer(obj: dict, key: str, where: str) -> int:
     return v
 
 
-def _parse_initial(obj, where: str) -> InitialDataSpec:
+def _parse_initial(obj, where: str, grid: GridSpec) -> InitialDataSpec:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, got {obj!r}")
     kind = obj.get("kind")
@@ -103,37 +103,23 @@ def _parse_initial(obj, where: str) -> InitialDataSpec:
     if kind == "random_bandlimited":
         keys = {"kind", "m", "epsilon", "max_mode", "seed"}
         _require_keys(obj, keys, keys, where)
-        return RandomBandlimitedData(
+        spec = RandomBandlimitedData(
             m=_number(obj, "m", where),
             epsilon=_number(obj, "epsilon", where),
             max_mode=_integer(obj, "max_mode", where),
             seed=_integer(obj, "seed", where),
         )
+        top = min(grid.n_x, grid.n_theta) // 2
+        if not 1 <= spec.max_mode <= top:
+            raise ValidationError(
+                f"{where}.max_mode: must be in [1, {top}] on this grid, got {spec.max_mode}"
+            )
+        if spec.seed < 0:
+            raise ValidationError(f"{where}.seed: must be >= 0, got {spec.seed}")
+        return spec
     raise ValidationError(
         f"{where}.kind: expected constant | single_mode | random_bandlimited, got {kind!r}"
     )
-
-
-def initial_to_doc(spec: InitialDataSpec) -> dict:
-    """JSON document form of an initial-data spec (inverse of parsing)."""
-    if isinstance(spec, ConstantData):
-        return {"kind": "constant", "m": spec.m}
-    if isinstance(spec, SingleModeData):
-        return {
-            "kind": "single_mode",
-            "m": spec.m,
-            "epsilon": spec.epsilon,
-            "mode": list(spec.mode),
-        }
-    if isinstance(spec, RandomBandlimitedData):
-        return {
-            "kind": "random_bandlimited",
-            "m": spec.m,
-            "epsilon": spec.epsilon,
-            "max_mode": spec.max_mode,
-            "seed": spec.seed,
-        }
-    raise TypeError(f"unknown initial data spec: {spec!r}")
 
 
 def canonical_json(doc) -> str:
@@ -178,6 +164,8 @@ def parse_config(doc: dict) -> RunConfig:
     _require_keys(pobj, {"pe", "de", "dt", "dealias"}, {"pe", "de", "dt"}, "params")
     pe = _number(pobj, "pe", "params")
     de = _number(pobj, "de", "params")
+    if de <= 0:
+        raise ValidationError(f"params.de: must be > 0, got {de}")
     dealias = pobj.get("dealias", True)
     if not isinstance(dealias, bool):
         raise ParseError(f"params.dealias: expected a boolean, got {dealias!r}")
@@ -190,7 +178,7 @@ def parse_config(doc: dict) -> RunConfig:
         if not (math.isfinite(dt_raw) and dt_raw > 0):
             raise ValidationError(f"params.dt: must be positive and finite, got {dt_raw!r}")
 
-    initial = _parse_initial(doc["initial"], "initial")
+    initial = _parse_initial(doc["initial"], "initial", grid)
 
     t_end = _number(doc, "t_end", "config")
     if t_end < 0:
@@ -246,6 +234,10 @@ def parse_config(doc: dict) -> RunConfig:
             trunc_window = (float(win[0]), float(win[1]))
             if "k_max" in tobj:
                 trunc_k_max = _integer(tobj, "k_max", "diagnostics.truncation")
+                if not 0 <= trunc_k_max <= 8:
+                    raise ValidationError(
+                        f"diagnostics.truncation.k_max: must be in [0, 8], got {trunc_k_max}"
+                    )
 
     checkpoint_every = 0
     if "checkpoint_every" in doc:
@@ -287,4 +279,6 @@ def load_config(path: str) -> RunConfig:
         raise ParseError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return parse_config(doc)

@@ -9,26 +9,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import (
-    NegativeField,
-    NonpositiveValue,
-    ParseError,
-    TooFewPoints,
-    TooFewSnapshots,
-    WindowTooShort,
-)
-from .grid import TWO_PI, Field2, Field3, GridSpec
-from .spectral import (
-    compute_p,
-    compute_rho,
-    deriv2,
-    forward,
-    laplacian2,
-    l2_norm_2d,
-    mode_energy,
-    synthesize,
-    _cache,
-)
+from .errors import NegativeField, NonpositiveValue, ParseError, TooFewPoints, WindowTooShort
+from .grid import TWO_PI, Field3, GridSpec
+from .spectral import _cache, compute_rho, forward, synthesize
 
 if TYPE_CHECKING:
     from .dynamics import RescaledSlice, Trajectory
@@ -52,11 +35,6 @@ class DiagnosticsRecord:
     grad_l2: float
     spectral_tail: float
     lp_ladder: tuple[float, ...]
-
-
-def mass(f: Field3) -> float:
-    """Space-angle average <f>; the box integral is <f> * (2*pi)^3."""
-    return f.mean()
 
 
 def lp_ladder(f: Field3, k_max: int) -> list[float]:
@@ -90,20 +68,6 @@ def _tail_mask(n: int, nt: int, fraction: float) -> np.ndarray:
     )
 
 
-def _tail_from_energy(energy, n: int, nt: int, fraction: float) -> float:
-    total = float(energy.sum()) - float(energy[0, 0, 0])
-    if total <= 1e-300:
-        return 0.0
-    return float(energy[_tail_mask(n, nt, fraction)].sum()) / total
-
-
-def spectral_tail(f: Field3, fraction: float = 0.25) -> float:
-    """Fraction of nonconstant L2 energy in modes beyond fraction * n per axis."""
-    return _tail_from_energy(
-        mode_energy(forward(f)), f.grid.n_x, f.grid.n_theta, fraction
-    )
-
-
 def compute_record(
     f: Field3,
     coeffs: np.ndarray,
@@ -114,8 +78,9 @@ def compute_record(
 ) -> DiagnosticsRecord:
     """Evaluate all per-step observables for f, whose half spectrum is coeffs.
 
-    |coeffs|^2 is formed once for the gradient norm and the spectral tail,
-    with grad_l2's and mode_energy's order of operations.
+    |coeffs|^2 is formed once for the gradient norm and the spectral tail, the
+    fraction of nonconstant L2 energy (Parseval weights) in modes beyond
+    tail_fraction * n on some axis.
     """
     c = _cache(f.grid.n_x, f.grid.n_theta)
     rho = compute_rho(f)
@@ -124,17 +89,20 @@ def compute_record(
     l2c = math.sqrt(float(np.multiply(dev, dev, out=dev).sum()) * dv)
     abs_sq = np.abs(coeffs) ** 2
     weight = TWO_PI**3 * c["mult"]
+    energy = weight * abs_sq
+    nonconstant = float(energy.sum()) - float(energy[0, 0, 0])
+    tail = 0.0 if nonconstant <= 1e-300 else float(
+        energy[_tail_mask(f.grid.n_x, f.grid.n_theta, tail_fraction)].sum()
+    ) / nonconstant
     return DiagnosticsRecord(
         t=t,
         mass=f.mean(),
         l2_to_const=l2c,
         linf=float(np.abs(f.values).max()),
-        rho_min=float(rho.values.min()),
-        rho_max=float(rho.values.max()),
+        rho_min=float(rho.min()),
+        rho_max=float(rho.max()),
         grad_l2=math.sqrt(float((weight * c["k_sq"] * abs_sq).sum())),
-        spectral_tail=_tail_from_energy(
-            weight * abs_sq, f.grid.n_x, f.grid.n_theta, tail_fraction
-        ),
+        spectral_tail=tail,
         lp_ladder=tuple(lp_ladder(f, k_max)),
     )
 
@@ -263,7 +231,7 @@ def truncation_energy(
     ladder = TruncationReducer(window, k_max, traj.grid.cell_volume)
     for t, snap in zip(traj.times, traj.snapshots):
         if ladder.covers(t):
-            ladder.add(t, snap.values, _spectral_grads(forward(snap).coeffs, traj.grid))
+            ladder.add(t, snap.values, _spectral_grads(forward(snap), traj.grid))
         else:
             ladder.add(t)
     return ladder.finish()
@@ -279,44 +247,6 @@ def truncation_energy_rescaled(
     for s in ordered:
         ladder.add(s.tau, s.values, s.grads)
     return ladder.finish(require_span=False)
-
-
-# --- density moment residual ----------------------------------------------------
-
-def moment_residual(traj: "Trajectory") -> list[tuple[float, float]]:
-    """L2(Omega) residual of the density moment equation per interior snapshot.
-
-    The density satisfies d rho/dt + Pe div((1 - rho) p) = de * Lap(rho);
-    the time derivative is a centered difference over snapshot times, the
-    spatial terms are spectral.
-    """
-    if len(traj.snapshots) < 3:
-        raise TooFewSnapshots(
-            f"need >= 3 snapshots for centered differencing, got {len(traj.snapshots)}"
-        )
-    pe, de = traj.params.pe, traj.params.de
-    rhos = [compute_rho(s) for s in traj.snapshots]
-    ps = [compute_p(s) for s in traj.snapshots]
-    out = []
-    for i in range(1, len(traj.snapshots) - 1):
-        h1 = traj.times[i] - traj.times[i - 1]
-        h2 = traj.times[i + 1] - traj.times[i]
-        a = -h2 / (h1 * (h1 + h2))
-        b = (h2 - h1) / (h1 * h2)
-        c = h1 / (h2 * (h1 + h2))
-        drho_dt = a * rhos[i - 1].values + b * rhos[i].values + c * rhos[i + 1].values
-
-        rho = rhos[i]
-        p1, p2 = ps[i]
-        blocked = 1.0 - rho.values
-        g1 = Field2(grid=traj.grid, values=blocked * p1.values)
-        g2 = Field2(grid=traj.grid, values=blocked * p2.values)
-        divergence = deriv2(g1, "x1").values + deriv2(g2, "x2").values
-        residual = drho_dt + pe * divergence - de * laplacian2(rho).values
-        out.append(
-            (traj.times[i], l2_norm_2d(Field2(grid=traj.grid, values=residual)))
-        )
-    return out
 
 
 def fit_decay_rate(

@@ -26,16 +26,7 @@ import numpy as np
 from . import diagnostics as diag
 from .errors import AdmissibilityViolation, NumericalBlowup, RadiusTooLarge
 from .grid import Field3, GridSpec, Params, check_admissible
-from .spectral import (
-    SpectrumView,
-    _cache,
-    forward,
-    forward_band,
-    inverse,
-    compute_rho,
-    sample_on_axes,
-    synthesize,
-)
+from .spectral import _cache, compute_rho, forward, forward_band, inverse, synthesize
 
 
 @dataclass(frozen=True)
@@ -48,7 +39,6 @@ class Trajectory:
     """
 
     grid: GridSpec
-    params: Params
     mean0: float
     times: list[float]
     snapshots: list[Field3]
@@ -96,16 +86,13 @@ def _advection_hat(values: np.ndarray, grid: GridSpec, params: Params) -> np.nda
 def rhs(f: Field3, params: Params) -> Field3:
     """de * Delta_x f + d^2f/dtheta^2 - Pe div_x((1 - rho) f e(theta))."""
     c = _cache(f.grid.n_x, f.grid.n_theta)
-    s = forward(f)
-    diffusion = -(params.de * c["kx_sq"] + c["k3"] ** 2) * s.coeffs
-    total = diffusion + _advection_hat(f.values, f.grid, params)
-    return inverse(SpectrumView(grid=f.grid, coeffs=total))
+    diffusion = -(params.de * c["kx_sq"] + c["k3"] ** 2) * forward(f)
+    return inverse(diffusion + _advection_hat(f.values, f.grid, params), f.grid)
 
 
 def cfl_dt(f: Field3, params: Params) -> float:
     """Advection-only CFL bound; diffusion is integrated exactly."""
-    rho = compute_rho(f)
-    speed = abs(params.pe) * float(np.abs(1.0 - rho.values).max())
+    speed = abs(params.pe) * float(np.abs(1.0 - compute_rho(f)).max())
     return 0.25 * f.grid.dx / max(speed, 1e-12)
 
 
@@ -148,7 +135,7 @@ def march(
         warnings.warn(_CFL_WARNING, RuntimeWarning, stacklevel=2)
     grid = f.grid
     if coeffs is None:
-        coeffs = forward(f).coeffs
+        coeffs = forward(f)
     prev_linf = float(np.abs(f.values).max())
     for step in range(start_step + 1, n_steps + 1):
         coeffs = _step_spectral(coeffs, f.values, grid, params)
@@ -197,7 +184,7 @@ def run(
     mean0 = f0.mean()
     n_steps = int(math.ceil(t_end / params.dt - 1e-9)) if t_end > 0 else 0
 
-    records = [diag.compute_record(f0, forward(f0).coeffs, 0.0, mean0, diagnostics_k_max)]
+    records = [diag.compute_record(f0, forward(f0), 0.0, mean0, diagnostics_k_max)]
     times = [0.0]
     snapshots = [f0]
     for step, coeffs, f in march(f0, params, n_steps):
@@ -209,7 +196,6 @@ def run(
 
     return Trajectory(
         grid=f0.grid,
-        params=params,
         mean0=mean0,
         times=times,
         snapshots=snapshots,
@@ -248,6 +234,28 @@ class RescaledSlice:
     cell_volume: float
 
 
+def sample_on_axes(
+    f: Field3, x1_points: np.ndarray, x2_points: np.ndarray, theta_points: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The trigonometric interpolant of f and its three spectral partial
+    derivatives on a tensor grid of points, which may lie off the sampling grid.
+    """
+    c = _cache(f.grid.n_x, f.grid.n_theta)
+    kx = c["k1"][:, 0, 0]
+    coeffs = np.fft.fftn(f.values) / f.values.size
+    e1 = np.exp(1j * np.outer(x1_points, kx))
+    e2 = np.exp(1j * np.outer(x2_points, kx))
+    e3 = np.exp(1j * np.outer(theta_points, c["k3_full"]))
+
+    def at(a: np.ndarray) -> np.ndarray:
+        out = np.tensordot(e1, a, axes=(1, 0))  # (A, k2, k3)
+        out = np.tensordot(e2, out, axes=(1, 1)).transpose(1, 0, 2)  # (A, B, k3)
+        return np.tensordot(out, e3, axes=(2, 1)).real  # (A, B, C)
+
+    symbols = (c["d1"], c["d2"], c["d3_full"][None, None, :])
+    return at(coeffs), tuple(at(coeffs * (1j * d)) for d in symbols)
+
+
 def rescale_field(
     f: Field3,
     t: float,
@@ -279,11 +287,9 @@ def rescale_field(
     x2p = xi0[1] + r * zeta_x
     thp = xi0[2] + r * zeta_t
 
-    values = ell * sample_on_axes(f, x1p, x2p, thp)
-    grads = tuple(
-        ell * r * sample_on_axes(f, x1p, x2p, thp, derivative_axis=ax)
-        for ax in ("x1", "x2", "theta")
-    )
+    samples, derivatives = sample_on_axes(f, x1p, x2p, thp)
+    values = ell * samples
+    grads = tuple(ell * r * d for d in derivatives)
     cell = (2.0 / grid.n_x) ** 2 * (2.0 / grid.n_theta)
     return RescaledSlice(
         tau=tau,

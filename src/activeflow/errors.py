@@ -32,10 +32,6 @@ class NegativeField(ActiveFlowError):
     """Field has entries below the negativity tolerance."""
 
 
-class TooFewSnapshots(ActiveFlowError):
-    """Centered time differencing needs at least three snapshots."""
-
-
 class NonpositiveValue(ActiveFlowError):
     """Log-linear rate fitting needs strictly positive values."""
 

@@ -18,16 +18,6 @@ from .errors import AdmissibilityViolation
 TWO_PI = 2.0 * math.pi
 
 
-def _frozen_array(values, shape, name):
-    arr = np.array(values, dtype=np.float64, order="C", copy=True)
-    if arr.shape != shape:
-        raise ValueError(f"{name} expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains NaN or Inf entries")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid: n_x points per spatial axis, n_theta in angle.
@@ -112,29 +102,17 @@ class Field3:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.values, self.grid.shape, "Field3.values")
+        arr = np.array(self.values, dtype=np.float64, order="C", copy=True)
+        if arr.shape != self.grid.shape:
+            raise ValueError(f"Field3.values expected shape {self.grid.shape}, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("Field3.values contains NaN or Inf entries")
+        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def mean(self) -> float:
         """Space-angle average <f>."""
         return float(self.values.mean())
-
-    def integral(self) -> float:
-        """Integral of f over the box, rectangle rule."""
-        return float(self.values.sum()) * self.grid.cell_volume
-
-
-@dataclass(frozen=True)
-class Field2:
-    """Real field on the spatial square (0, 2*pi)^2, e.g. the density rho."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.grid.n_x, self.grid.n_x)
-        arr = _frozen_array(self.values, shape, "Field2.values")
-        object.__setattr__(self, "values", arr)
 
 
 # --- initial data ------------------------------------------------------------

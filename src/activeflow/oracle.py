@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import IterationStall, NumericalBlowup
 from .grid import Field3, GridSpec, Params
-from .spectral import SpectrumView, forward, inverse, _cache
-from .dynamics import rhs as spectral_rhs
+from .spectral import _cache, forward, inverse
 
 
 @dataclass(frozen=True)
@@ -96,31 +95,11 @@ def fd_run(f0: Field3, params: Params, t_end: float, cfg: OracleConfig) -> Field
     return f
 
 
-def euler_run_spectral(
-    f0: Field3, params: Params, t_end: float, dt_fine: float
-) -> Field3:
-    """Explicit Euler on the spectral right-hand side.
-
-    Time reference independent of the integrating-factor scheme; used to
-    measure the time order of the main stepper without the O(dx^2) bias the
-    finite-difference oracle would add.
-    """
-    n_steps = int(round(t_end / dt_fine))
-    f = f0
-    for step in range(1, n_steps + 1):
-        v = f.values + dt_fine * spectral_rhs(f, params).values
-        if not np.isfinite(v).all():
-            raise NumericalBlowup("oracle run produced non-finite values", step=step)
-        f = Field3(grid=f0.grid, values=v)
-    return f
-
-
 def exact_linear_solution(f0: Field3, de: float, t: float) -> Field3:
     """Zero-advection solution: mode-wise decay exp(-(de |k_x|^2 + k_th^2) t)."""
     c = _cache(f0.grid.n_x, f0.grid.n_theta)
-    s = forward(f0)
     decay = np.exp(-(de * c["kx_sq"] + c["k3"] ** 2) * t)
-    return inverse(SpectrumView(grid=f0.grid, coeffs=decay * s.coeffs))
+    return inverse(decay * forward(f0), f0.grid)
 
 
 def _dense_neg_laplacian(grid: GridSpec) -> np.ndarray:

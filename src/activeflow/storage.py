@@ -23,7 +23,6 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord
 from .errors import CheckpointMismatch, ParseError
 from .grid import Field3, GridSpec, Params
-from .spectral import SpectrumView
 
 FORMAT_VERSION = 1
 CHECKPOINT_FORMAT = 2
@@ -114,10 +113,12 @@ class SnapshotWriter:
             )
 
     def close(self):
-        for fut in self._pending:
-            fut.result()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+        try:
+            for fut in self._pending:
+                fut.result()
+        finally:
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
 
 
 # --- checkpoints ----------------------------------------------------------------
@@ -125,12 +126,12 @@ class SnapshotWriter:
 CHECKPOINT_NAME = "checkpoint.bin"
 
 
-def write_checkpoint(out_dir: str, s: SpectrumView, time: float, step: int,
-                     params: Params, config_hash: str, truncation=None) -> None:
+def write_checkpoint(out_dir: str, coeffs: np.ndarray, grid: GridSpec, time: float,
+                     step: int, params: Params, config_hash: str, truncation=None) -> None:
     """Write the carried half spectrum and ladder state, atomically."""
-    payload = np.ascontiguousarray(s.coeffs, dtype="<c16").tobytes()
+    payload = np.ascontiguousarray(coeffs, dtype="<c16").tobytes()
     header = _header(
-        s.grid, time, step, params, format_version=CHECKPOINT_FORMAT,
+        grid, time, step, params, format_version=CHECKPOINT_FORMAT,
         element_type="complex128", layout="row-major i1,i2,ktheta mean-normalized",
         checkpoint=True, config_hash=config_hash, payload_crc32=zlib.crc32(payload),
         truncation=truncation,
@@ -139,7 +140,7 @@ def write_checkpoint(out_dir: str, s: SpectrumView, time: float, step: int,
 
 
 def load_checkpoint(out_dir: str, config_hash: str):
-    """Return (spectrum, time, step, truncation state) or None.
+    """Return (half spectrum, time, step, truncation state) or None.
 
     CheckpointMismatch for another format or config; ParseError if corrupt.
     """
@@ -170,7 +171,7 @@ def load_checkpoint(out_dir: str, config_hash: str):
     if zlib.crc32(payload) != crc:
         raise ParseError(f"{path}: payload checksum does not match its header")
     coeffs = np.frombuffer(payload, dtype="<c16").reshape(shape)
-    return SpectrumView(grid=grid, coeffs=coeffs), time, step, truncation
+    return coeffs, time, step, truncation
 
 
 # --- diagnostics CSV --------------------------------------------------------------
@@ -194,14 +195,3 @@ def csv_row(record: DiagnosticsRecord) -> str:
         *record.lp_ladder,
     ]
     return ",".join(repr(float(c)) for c in cells)
-
-
-def read_csv(path: str) -> list[dict]:
-    """Parse a diagnostics CSV back into one dict per row."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    names = lines[0].split(",")
-    return [
-        {name: float(cell) for name, cell in zip(names, line.split(","))}
-        for line in lines[1:]
-    ]

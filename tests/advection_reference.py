@@ -10,6 +10,18 @@ import numpy as np
 from activeflow.spectral import _cache
 
 
+def dealias_mask(grid):
+    """The 2/3 rule on the half spectrum: |k_i| <= floor(n_i / 3) on every axis."""
+    kx = np.abs(np.fft.fftfreq(grid.n_x, d=1.0 / grid.n_x))
+    kt = np.arange(grid.n_theta // 2 + 1)
+    cut = grid.n_x // 3
+    return (
+        (kx[:, None, None] <= cut)
+        & (kx[None, :, None] <= cut)
+        & (kt[None, None, :] <= grid.n_theta // 3)
+    )
+
+
 def reference_advection_hat(values, grid, params):
     """Half spectrum of -Pe div_x((1 - rho) f e(theta)) from one full rfftn."""
     c = _cache(grid.n_x, grid.n_theta)
@@ -28,5 +40,5 @@ def reference_advection_hat(values, grid, params):
     out[:, :, :-1] += spec[:, :, 1:]
     out[:, :, -1] += a_hi[:, :, 0] * edge_hi
     if params.dealias:
-        out *= c["dealias"]
+        out *= dealias_mask(grid)
     return out

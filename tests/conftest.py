@@ -16,6 +16,13 @@ def field_from(grid, fn):
     return Field3(grid=grid, values=values)
 
 
+def read_csv(path):
+    """A diagnostics CSV as one {column: float} dict per row."""
+    with open(path, "r", encoding="utf-8") as fh:
+        names, *rows = fh.read().splitlines()
+    return [dict(zip(names.split(","), map(float, row.split(",")))) for row in rows]
+
+
 def random_field(grid, seed, positive=False):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(grid.shape)

@@ -15,16 +15,16 @@ from activeflow.cli import cmd_simulate, main
 from activeflow.config import load_config, parse_config
 from activeflow.dynamics import run
 from activeflow.errors import ParseError, ValidationError
-from activeflow.grid import Params, make_initial
+from activeflow.grid import Params, make_grid, make_initial
 from activeflow.storage import (
     CHECKPOINT_NAME,
+    SnapshotWriter,
     csv_header,
     csv_row,
-    read_csv,
     read_snapshot,
     write_snapshot,
 )
-from conftest import random_field
+from conftest import random_field, read_csv
 
 
 def base_doc(**overrides):
@@ -137,6 +137,22 @@ class TestConfigParsing:
         with pytest.raises(ParseError, match=r":1:"):
             load_config(str(path))
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"output_dir": "\xe9"}')
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("de", [0.0, -1.0])
+    def test_nonpositive_de(self, de):
+        doc = base_doc()
+        doc["params"]["de"] = de
+        with pytest.raises(ValidationError, match=r"params\.de"):
+            parse_config(doc)
+        doc["params"]["dt"] = "auto"
+        with pytest.raises(ValidationError, match=r"params\.de"):
+            parse_config(doc)
+
     def test_missing_file(self):
         with pytest.raises(ParseError):
             load_config("/nonexistent/path.json")
@@ -148,7 +164,9 @@ class TestConfigParsing:
         assert a.config_hash == b.config_hash
 
     def test_initial_data_round_trips_through_json(self):
-        from activeflow.config import initial_to_doc, _parse_initial
+        from dataclasses import asdict
+
+        from activeflow.config import _parse_initial
         from activeflow.grid import (
             ConstantData,
             RandomBandlimitedData,
@@ -161,8 +179,8 @@ class TestConfigParsing:
             RandomBandlimitedData(m=0.5, epsilon=0.3, max_mode=5, seed=8),
         ]
         for spec in specs:
-            doc = json.loads(json.dumps(initial_to_doc(spec)))
-            assert _parse_initial(doc, "initial") == spec
+            doc = json.loads(json.dumps(asdict(spec)))
+            assert _parse_initial(doc, "initial", make_grid(16, 16)) == spec
 
 
 class TestSnapshotFiles:
@@ -393,6 +411,51 @@ class TestSimulateCommand:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "max_mode, seed, dt", [(100, 1, 0.01), (0, 1, "auto"), (3, -3, 0.01)]
+    )
+    def test_bad_random_data_exit_code(self, tmp_path, capsys, max_mode, seed, dt):
+        # max_mode must lie in [1, 16 // 2] on 16^3; "auto" dt samples f0 at load
+        doc = base_doc(
+            output_dir=str(tmp_path / "rb"),
+            params={"pe": 0.05, "de": 1.0, "dt": dt},
+            initial={"kind": "random_bandlimited", "m": 1.0, "epsilon": 0.3,
+                     "max_mode": max_mode, "seed": seed},
+        )
+        rc = main(["simulate", "--config", write_config(tmp_path, doc)])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (rc, err["kind"]) == (2, "ValidationError")
+        assert ("seed" if seed < 0 else "max_mode") in err["message"]
+        assert not (tmp_path / "rb").exists()
+
+    @pytest.mark.parametrize("k_max", [-1, -3, 9, 10**9])
+    def test_truncation_k_max_range(self, k_max):
+        doc = base_doc(diagnostics={"truncation": {"window": [0.1, 0.4], "k_max": k_max}})
+        with pytest.raises(ValidationError, match=r"truncation\.k_max"):
+            parse_config(doc)
+        for k_max in (0, 8):
+            doc["diagnostics"]["truncation"]["k_max"] = k_max
+            assert parse_config(doc).truncation_k_max == k_max
+
+    def test_output_dir_under_a_file_exit_code(self, tmp_path, capsys):
+        (tmp_path / "plain").write_text("not a directory")
+        doc = base_doc(output_dir=str(tmp_path / "plain" / "out"))
+        rc = main(["simulate", "--config", write_config(tmp_path, doc)])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (rc, err["kind"]) == (2, "NotADirectoryError")
+        assert "plain" in err["message"]
+
+    def test_failed_background_write_shuts_the_pool_down(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ACTIVEFLOW_THREADS", "2")
+        writer = SnapshotWriter()
+        f = random_field(make_grid(8, 8), seed=3)
+        writer.submit(str(tmp_path / "missing" / "snap.bin"), f, 0.0, 0,
+                      Params(pe=0.1, de=1.0, dt=0.01))
+        with pytest.raises(FileNotFoundError):
+            writer.close()
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            writer._pool.submit(print)
 
     def test_truncation_summary_in_output(self, tmp_path):
         doc = base_doc(

@@ -15,13 +15,13 @@ from activeflow.errors import IterationStall
 from activeflow.oracle import (
     OracleConfig,
     dense_poincare,
-    euler_run_spectral,
     exact_linear_solution,
     fd_rhs,
     fd_run,
     _dense_neg_laplacian,
 )
 from conftest import field_from
+from spectral_reference import euler_run_spectral
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,6 +87,8 @@ class TestFdRun:
 
 
 class TestEulerSpectral:
+    """The time reference of tests/spectral_reference.py against the exact solution."""
+
     def test_small_step_tracks_exact_linear(self, grid8):
         f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 0)), grid8)
         out = euler_run_spectral(f0, Params(pe=0.0, de=1.0, dt=1.0), 0.2, 1e-4)
