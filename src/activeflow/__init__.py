@@ -15,7 +15,6 @@ from .grid import (
     make_initial,
 )
 from .spectral import (
-    compute_rho,
     forward,
     inverse,
     poincare_constant,

@@ -253,6 +253,10 @@ def parse_config(doc: dict) -> RunConfig:
         dt = min(max(0.5 * cfl_dt(f0, probe), AUTO_DT_FLOOR), AUTO_DT_CAP)
     else:
         dt = float(dt_raw)
+    if not math.isfinite(t_end / dt):
+        raise ValidationError(
+            f"t_end / params.dt: the step count must be finite, got {t_end!r} / {dt!r}"
+        )
 
     return RunConfig(
         grid=grid,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NegativeField, NonpositiveValue, ParseError, TooFewPoints, WindowTooShort
 from .grid import TWO_PI, Field3, GridSpec
-from .spectral import _cache, compute_rho, forward, synthesize
+from .spectral import _cache, forward, synthesize
 
 if TYPE_CHECKING:
     from .dynamics import RescaledSlice, Trajectory
@@ -80,10 +80,12 @@ def compute_record(
 
     |coeffs|^2 is formed once for the gradient norm and the spectral tail, the
     fraction of nonconstant L2 energy (Parseval weights) in modes beyond
-    tail_fraction * n on some axis.
+    tail_fraction * n on some axis. The density and sup norm are f.rho and
+    f.linf: a field march yields already holds its sup norm, and its density
+    is computed once for this record and the next step's advection.
     """
     c = _cache(f.grid.n_x, f.grid.n_theta)
-    rho = compute_rho(f)
+    rho = f.rho
     dv = f.grid.cell_volume
     dev = f.values - mean0
     l2c = math.sqrt(float(np.multiply(dev, dev, out=dev).sum()) * dv)
@@ -98,7 +100,7 @@ def compute_record(
         t=t,
         mass=f.mean(),
         l2_to_const=l2c,
-        linf=float(np.abs(f.values).max()),
+        linf=f.linf,
         rho_min=float(rho.min()),
         rho_max=float(rho.max()),
         grad_l2=math.sqrt(float((weight * c["k_sq"] * abs_sq).sum())),
@@ -183,6 +185,7 @@ class TruncationReducer:
         if not self.covers(t):
             return
         self.count += 1
+        held = []  # (level, mask) of the levels whose window holds t
         for k, (c_k, w_k) in enumerate(zip(self.levels, self.window_times)):
             if t < w_k - 1e-12:
                 continue
@@ -192,8 +195,13 @@ class TruncationReducer:
             self.sup[k] = max(self.sup[k], float((trunc**2).sum()) * self.cell_volume)
             if self.pending[k] is not None:
                 self.grad[k] += (t - prev) * self.pending[k] * self.cell_volume
-            masked = (float((np.where(above, g, 0.0) ** 2).sum()) for g in grads)
-            self.pending[k] = sum(masked)
+            self.pending[k] = 0.0
+            held.append((k, above))
+        masked = cut  # the last level's array, free now (level 0 always holds t)
+        for g in grads:  # squared once per snapshot, into a new array: grads may be shared
+            g_sq = g * g
+            for k, above in held:  # for finite squares, np.where(above, g_sq, 0.0)
+                self.pending[k] += float(np.multiply(g_sq, above, out=masked).sum())
 
     def finish(self, require_span: bool = True) -> TruncationLadder:
         """The ladder; with require_span the times added must cover the window."""

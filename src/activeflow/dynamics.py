@@ -11,6 +11,14 @@ simulate command and the stationary solver all consume it. A step costs four
 transforms: a forward one per advection stage and the inverses of the stage-2
 midpoint and the new state, which is the next stage-1 input. The forward
 transforms compute only the modes the 2/3 rule keeps (spectral.forward_band).
+
+The advection increments stay band-resident: _advection_hat returns only the
+band block (spectral._band), and the step applies it to the gathered band
+modes after one semigroup multiply over the whole spectrum per stage. The
+per-grid tables (band indices, d1 -/+ i d2, the semigroup on the band) are
+built once. Each new state is a Field3 over the synthesized array itself,
+with no copy; its sup norm (the blowup check) and its density (the next
+stage-1 advection) are computed once, and the diagnostics record reads both.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 from . import diagnostics as diag
 from .errors import AdmissibilityViolation, NumericalBlowup, RadiusTooLarge
 from .grid import Field3, GridSpec, Params, check_admissible
-from .spectral import _cache, compute_rho, forward, forward_band, inverse, synthesize
+from .spectral import _band, _cache, forward, forward_band, inverse, synthesize
 
 
 @dataclass(frozen=True)
@@ -45,30 +53,28 @@ class Trajectory:
     diagnostics: list["diag.DiagnosticsRecord"]
 
 
-def _advection_hat(values: np.ndarray, grid: GridSpec, params: Params) -> np.ndarray:
-    """Half-spectrum of -Pe * div_x((1 - rho) f e(theta)) from physical values.
+def _advection_hat(f: Field3, params: Params) -> np.ndarray:
+    """Band block of the half spectrum of -Pe * div_x((1 - rho) f e(theta)).
 
-    One band-limited forward transform gives the half spectrum B of
-    (1 - rho) f on the kept modes: the 2/3 band with dealias (the mask is
-    never applied, the modes outside it are never computed), all of them
-    without. A factor cos(theta) or sin(theta) shifts the theta index by one,
-    so mode m is a_lo B[m-1] + a_hi B[m+1], a_lo/hi = -Pe (d1 -/+ i d2) /
-    (2 n_total); past the edges, B[-1] and B[n_theta/2+1] are the conjugates
-    at -k_x of planes 1 and n_theta/2 - 1. Modes outside the band are zero
-    and so is k = 0.
+    The block is keep x keep x [0, planes) of spectral._band: the 2/3 band
+    with dealias, the whole half spectrum without; the advection is zero on
+    every other mode, and at k = 0. One band-limited forward transform gives
+    the half spectrum B of (1 - rho) f on the block's modes (the modes
+    outside are never computed). A factor cos(theta) or sin(theta) shifts the
+    theta index by one, so mode m is a_lo B[m-1] + a_hi B[m+1], a_lo/hi =
+    -Pe (d1 -/+ i d2) / (2 n_total); past the edges, B[-1] and
+    B[n_theta/2+1] are the conjugates at -k_x of planes 1 and n_theta/2 - 1.
     """
-    c = _cache(grid.n_x, grid.n_theta)
+    grid = f.grid
+    b = _band(grid.n_x, grid.n_theta, params.dealias)
     half = grid.n_theta // 2 + 1
-    keep, planes = c["band"] if params.dealias else (np.arange(grid.n_x), half)
-    rho = values.sum(axis=2) * grid.dtheta
-    spec = forward_band((1.0 - rho)[:, :, None] * values, keep, min(planes + 1, half))
-    neg = -np.arange(keep.size) % keep.size
-    edge_lo = spec[:, :, 1][neg][:, neg].conj()
-    edge_hi = spec[:, :, half - 2][neg][:, neg].conj() if planes == half else None
-    scale = -0.5j * params.pe / values.size
-    d1, d2 = c["d1"][keep], c["d2"][:, keep]
-    a_lo = scale * (d1 - 1j * d2)
-    a_hi = scale * (d1 + 1j * d2)
+    planes = b["planes"]
+    spec = forward_band((1.0 - f.rho)[:, :, None] * f.values, b["keep"], min(planes + 1, half))
+    edge_lo = spec[:, :, 1][b["neg"]].conj()
+    edge_hi = spec[:, :, half - 2][b["neg"]].conj() if planes == half else None
+    scale = -0.5j * params.pe / f.values.size
+    a_lo = scale * b["d_lo"]
+    a_hi = scale * b["d_hi"]
     out = np.empty(spec.shape[:2] + (planes,), dtype=spec.dtype)
     np.multiply(spec[:, :, : planes - 1], a_lo, out=out[:, :, 1:])
     out[:, :, 0] = a_lo[:, :, 0] * edge_lo
@@ -76,46 +82,61 @@ def _advection_hat(values: np.ndarray, grid: GridSpec, params: Params) -> np.nda
     out[:, :, : spec.shape[2] - 1] += spec[:, :, 1:]
     if edge_hi is not None:
         out[:, :, -1] += a_hi[:, :, 0] * edge_hi
-    if keep.size == grid.n_x and planes == half:
-        return out
-    full = np.zeros((grid.n_x, grid.n_x, half), dtype=out.dtype)
-    full[:, :, :planes][np.ix_(keep, keep)] = out
-    return full
+    return out
 
 
 def rhs(f: Field3, params: Params) -> Field3:
     """de * Delta_x f + d^2f/dtheta^2 - Pe div_x((1 - rho) f e(theta))."""
     c = _cache(f.grid.n_x, f.grid.n_theta)
     diffusion = -(params.de * c["kx_sq"] + c["k3"] ** 2) * forward(f)
-    return inverse(diffusion + _advection_hat(f.values, f.grid, params), f.grid)
+    advection = np.zeros_like(diffusion)
+    np.put(advection, _band(f.grid.n_x, f.grid.n_theta, params.dealias)["flat"],
+           _advection_hat(f, params))
+    return inverse(diffusion + advection, f.grid)
 
 
 def cfl_dt(f: Field3, params: Params) -> float:
     """Advection-only CFL bound; diffusion is integrated exactly."""
-    speed = abs(params.pe) * float(np.abs(1.0 - compute_rho(f)).max())
+    speed = abs(params.pe) * float(np.abs(1.0 - f.rho).max())
     return 0.25 * f.grid.dx / max(speed, 1e-12)
 
 
 @lru_cache(maxsize=16)
-def _semigroup(n_x: int, n_theta: int, de: float, dt: float):
-    """exp(L dt/2) and exp(L dt) for L = -(de |k_x|^2 + k_theta^2)."""
+def _semigroup(n_x: int, n_theta: int, de: float, dt: float, dealias: bool):
+    """exp(L dt/2) and exp(L dt) for L = -(de |k_x|^2 + k_theta^2), then
+    exp(L dt/2) and dt exp(L dt/2) on the advection band."""
     c = _cache(n_x, n_theta)
     sym = -(de * c["kx_sq"] + c["k3"] ** 2)
     half = np.exp(0.5 * dt * sym)
-    return half, half * half
+    flat = _band(n_x, n_theta, dealias)["flat"]
+    return half, half * half, half.take(flat), (dt * half).take(flat)
 
 
-def _step_spectral(
-    coeffs: np.ndarray, values: np.ndarray, grid: GridSpec, params: Params
-) -> np.ndarray:
-    """One integrating-factor midpoint step; values are the samples of coeffs."""
-    dt = params.dt
-    e_half, e_full = _semigroup(grid.n_x, grid.n_theta, params.de, dt)
-    k1 = _advection_hat(values, grid, params)
-    mid = e_half * (coeffs + 0.5 * dt * k1)
-    mid_values = synthesize(mid, grid)
-    k2 = _advection_hat(mid_values, grid, params)
-    return e_full * coeffs + dt * e_half * k2
+def _step_spectral(coeffs: np.ndarray, f: Field3, params: Params) -> np.ndarray:
+    """One integrating-factor midpoint step from coeffs, whose samples f holds:
+    mid = e_half (c + dt/2 k1), then e_full c + dt e_half k2.
+
+    k1 and k2 live on the advection band, where they are added to the band
+    block and put back; off it they are 0. The new spectrum there is
+    e_full c + 0, and the + 0 turns a -0.0 part into +0.0, so every bit of
+    it, and of a checkpoint that stores it, is the formula's. The midpoint
+    needs no such pass: it is only synthesized, and the sign of a zero
+    changes no sum that has a nonzero term.
+    """
+    grid, dt = f.grid, params.dt
+    e_half, e_full, band_half, band_dt_half = _semigroup(
+        grid.n_x, grid.n_theta, params.de, dt, params.dealias
+    )
+    flat = _band(grid.n_x, grid.n_theta, params.dealias)["flat"]
+    k1 = _advection_hat(f, params)
+    mid = e_half * coeffs
+    np.put(mid, flat, band_half * (coeffs.take(flat) + 0.5 * dt * k1))
+    k2 = _advection_hat(Field3.adopt(grid, synthesize(mid, grid)), params)
+    out = e_full * coeffs
+    band = out.take(flat) + band_dt_half * k2
+    out += 0.0
+    np.put(out, flat, band)
+    return out
 
 
 _CFL_WARNING = "time step exceeds the advective CFL bound"
@@ -130,24 +151,22 @@ def march(
     not given); the run ends after step n_steps. Warns once
     (without rejecting) when dt exceeds the CFL bound of f, and raises
     NumericalBlowup on non-finite output or >10x sup-norm growth in one step.
+    Each yielded field adopts the synthesized array (read-only, not copied);
+    the sup norm of those checks is its linf.
     """
     if params.dt > cfl_dt(f, params):
         warnings.warn(_CFL_WARNING, RuntimeWarning, stacklevel=2)
     grid = f.grid
     if coeffs is None:
         coeffs = forward(f)
-    prev_linf = float(np.abs(f.values).max())
     for step in range(start_step + 1, n_steps + 1):
-        coeffs = _step_spectral(coeffs, f.values, grid, params)
-        values = synthesize(coeffs, grid)
-        linf = float(np.abs(values).max())  # NaN or inf if any value is
-        if not math.isfinite(linf):
+        prev_linf = f.linf
+        coeffs = _step_spectral(coeffs, f, params)
+        f = Field3.adopt(grid, synthesize(coeffs, grid))
+        if not math.isfinite(f.linf):
             raise NumericalBlowup("non-finite values after step", step=step)
-        if linf > 10.0 * prev_linf and prev_linf > 0.0:
+        if f.linf > 10.0 * prev_linf and prev_linf > 0.0:
             raise NumericalBlowup("sup norm grew more than 10x in one step", step=step)
-        prev_linf = linf
-        f = Field3(grid=grid, values=values)
-        del values  # f holds the frozen copy that the next step reads
         yield step, coeffs, f
 
 

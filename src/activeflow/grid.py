@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,7 +96,8 @@ class Field3:
     """Real scalar field f(x1, x2, theta) sampled on a GridSpec.
 
     values is indexed (i1, i2, i_theta), row-major with theta fastest.
-    Entries must be finite; the array is frozen after construction.
+    Entries must be finite; the array is frozen after construction, so the
+    density and the sup norm are computed once, at first use, and kept.
     """
 
     grid: GridSpec
@@ -109,6 +111,28 @@ class Field3:
             raise ValueError("Field3.values contains NaN or Inf entries")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def adopt(cls, grid: GridSpec, values: np.ndarray) -> "Field3":
+        """A field over a C-contiguous float64 array of grid.shape that its
+        caller made and hands over: no copy and no finiteness pass (the caller
+        checks what it needs, for instance through linf); values is frozen in place.
+        """
+        values.setflags(write=False)
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "values", values)
+        return f
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """Angle-independent density rho(x) = integral of f dtheta."""
+        return self.values.sum(axis=2) * self.grid.dtheta
+
+    @cached_property
+    def linf(self) -> float:
+        """Sup norm max |f|; NaN or inf if any value is."""
+        return float(np.abs(self.values).max())
 
     def mean(self) -> float:
         """Space-angle average <f>."""
@@ -173,9 +197,8 @@ def check_admissible(f0: Field3) -> AdmissibilityReport:
     rounding allowance at the boundaries.
     """
     min_f = float(f0.values.min())
-    rho = f0.values.sum(axis=2) * f0.grid.dtheta
-    min_rho = float(rho.min())
-    max_rho = float(rho.max())
+    min_rho = float(f0.rho.min())
+    max_rho = float(f0.rho.max())
     ok = (
         min_f >= -_ADMISSIBILITY_TOL
         and min_rho >= -_ADMISSIBILITY_TOL

@@ -1,4 +1,4 @@
-"""Real 3D Fourier transforms, the density moment, and the L2 norm.
+"""Real 3D Fourier transforms, the advection band tables, and the L2 norm.
 
 Transforms are normalized so the zero-mode coefficient equals the grid mean
 of the field; mass conservation then reduces to one coefficient staying put.
@@ -60,6 +60,26 @@ def _cache(n_x: int, n_theta: int):
     }
 
 
+@lru_cache(maxsize=32)
+def _band(n_x: int, n_theta: int, dealias: bool):
+    """The advection's band tables, built once per grid and dealias setting.
+
+    keep (x-wavenumber indices, fftfreq order) and planes (theta planes) span
+    the 2/3 band with dealias and the whole half spectrum without; the band
+    block is keep x keep x [0, planes), and flat holds its flat indices in the
+    half spectrum. neg is the np.ix_ pair that sends each kept x-wavenumber
+    pair to its negative, and d_lo / d_hi are d1 -/+ i d2 on the band.
+    """
+    c = _cache(n_x, n_theta)
+    half = n_theta // 2 + 1
+    keep, planes = c["band"] if dealias else (np.arange(n_x), half)
+    neg = -np.arange(keep.size) % keep.size
+    d1, d2 = c["d1"][keep], c["d2"][:, keep]
+    flat = np.ravel_multi_index(np.ix_(keep, keep, np.arange(planes)), (n_x, n_x, half))
+    return dict(keep=keep, planes=planes, flat=flat, neg=np.ix_(neg, neg),
+                d_lo=d1 - 1j * d2, d_hi=d1 + 1j * d2)
+
+
 def forward(f: Field3) -> np.ndarray:
     """Half-spectrum coefficients, shape (n_x, n_x, n_theta//2 + 1), normalized
     so the zero mode is the grid mean of f."""
@@ -97,11 +117,6 @@ def synthesize(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
 def inverse(coeffs: np.ndarray, grid: GridSpec) -> Field3:
     """Inverse of forward; exact round trip up to rounding."""
     return Field3(grid=grid, values=synthesize(coeffs, grid))
-
-
-def compute_rho(f: Field3) -> np.ndarray:
-    """Angle-independent density rho(x) = integral of f dtheta."""
-    return f.values.sum(axis=2) * f.grid.dtheta
 
 
 def poincare_constant(grid: GridSpec) -> float:

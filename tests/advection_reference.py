@@ -1,13 +1,15 @@
-"""Full-spectrum advection transform: the reference the band-limited one must match.
+"""Full-spectrum advection and step: the references the band-resident ones must match.
 
-This is the single-rfftn dynamics._advection_hat that the band-limited
-version replaced, kept here so the kept modes can be checked against it bit
-for bit. It transforms every mode and then applies the 2/3 mask.
+reference_advection_hat is a single-rfftn advection transform: it transforms
+every mode and then applies the 2/3 mask, so the band block of
+dynamics._advection_hat can be checked against it bit for bit.
+reference_step_spectral is the integrating-factor midpoint step written over
+whole half-spectrum arrays, the advection increments zero off the band.
 """
 
 import numpy as np
 
-from activeflow.spectral import _cache
+from activeflow.spectral import _cache, synthesize
 
 
 def dealias_mask(grid):
@@ -42,3 +44,35 @@ def reference_advection_hat(values, grid, params):
     if params.dealias:
         out *= dealias_mask(grid)
     return out
+
+
+def embed(block, grid, dealias):
+    """The half spectrum that holds an advection band block and zeros elsewhere."""
+    full = np.zeros((grid.n_x, grid.n_x, grid.n_theta // 2 + 1), dtype=complex)
+    if dealias:
+        keep, planes = _cache(grid.n_x, grid.n_theta)["band"]
+        full[:, :, :planes][np.ix_(keep, keep)] = block
+    else:
+        full[...] = block
+    return full
+
+
+def reference_step_spectral(coeffs, values, grid, params):
+    """One integrating-factor midpoint step over whole half-spectrum arrays.
+
+    The advection increments are +0.0 off the 2/3 band (not the signed zeros
+    the mask multiply leaves), so the step's zero signs are the formula's.
+    """
+    c = _cache(grid.n_x, grid.n_theta)
+    dt = params.dt
+    e_half = np.exp(0.5 * dt * -(params.de * c["kx_sq"] + c["k3"] ** 2))
+    e_full = e_half * e_half
+    keep = dealias_mask(grid) if params.dealias else True
+
+    def advection(v):
+        return np.where(keep, reference_advection_hat(v, grid, params), 0.0)
+
+    k1 = advection(values)
+    mid = e_half * (coeffs + 0.5 * dt * k1)
+    k2 = advection(synthesize(mid, grid))
+    return e_full * coeffs + dt * e_half * k2

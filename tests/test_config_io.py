@@ -429,6 +429,24 @@ class TestSimulateCommand:
         assert ("seed" if seed < 0 else "max_mode") in err["message"]
         assert not (tmp_path / "rb").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "decay"])
+    @pytest.mark.parametrize("dt", [1e-5, "auto"])
+    def test_infinite_step_count_exit_code(self, tmp_path, capsys, command, dt):
+        # t_end / dt overflows to inf: there is no step count to march to
+        doc = base_doc(
+            grid={"n_x": 8, "n_theta": 8},
+            params={"pe": 0.05, "de": 1.0, "dt": dt},
+            t_end=1e308,
+            output_dir=str(tmp_path / "huge"),
+        )
+        rc = main([command, "--config", write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)["error"]
+        assert (rc, err["kind"]) == (2, "ValidationError")
+        assert "step count" in err["message"]
+        assert captured.out == ""
+        assert not (tmp_path / "huge").exists()
+
     @pytest.mark.parametrize("k_max", [-1, -3, 9, 10**9])
     def test_truncation_k_max_range(self, k_max):
         doc = base_doc(diagnostics={"truncation": {"window": [0.1, 0.4], "k_max": k_max}})

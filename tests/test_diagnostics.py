@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -314,6 +315,22 @@ class TestTruncationReducer:
         assert all(e > 0.0 for e in got.energies)
         assert (got.window_times, got.energies) == want
 
+    def test_leaves_the_callers_arrays_alone(self):
+        # RescaledSlice.grads are shared with the caller: read-only here, so
+        # any write into them raises, and their bits must come back unchanged
+        times, fields, grads = ladder_inputs(5, 8, amplitude=1.2)
+        before = [(v.copy(), tuple(g.copy() for g in gs)) for v, gs in zip(fields, grads)]
+        for v, gs in zip(fields, grads):
+            for a in (v, *gs):
+                a.setflags(write=False)
+        got = reduce_all((times[0], times[-1]), 6, times, fields, grads).finish()
+        for (v0, gs0), v, gs in zip(before, fields, grads):
+            assert np.array_equal(v0.view(np.uint64), v.view(np.uint64))
+            for g0, g in zip(gs0, gs):
+                assert np.array_equal(g0.view(np.uint64), g.view(np.uint64))
+        want = reference_ladder(times, fields, grads, CELL, (times[0], times[-1]), 6)
+        assert (got.window_times, got.energies) == want
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), cut=st.integers(0, 12))
     def test_state_resumes_through_json(self, seed, cut):
@@ -418,6 +435,20 @@ class TestFitDecayRate:
 
 class TestRecordFromSpectrum:
     """Records read the spectrum march carries instead of a fresh transform."""
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_carried_density_and_sup_norm_match_a_fresh_field(self, grid16, dealias):
+        f0 = Field3(grid=grid16, values=0.01 * random_field(grid16, 4, True).values)
+        params = Params(pe=0.5, de=0.2, dt=0.002, dealias=dealias)
+        steps = list(march(f0, params, 6))
+        for i, (step, coeffs, f) in enumerate(steps):
+            # march computed the sup norm, and the next step's advection the density
+            assert "linf" in vars(f)
+            assert ("rho" in vars(f)) == (i < len(steps) - 1)
+            carried = compute_record(f, coeffs, 0.002 * step, f0.mean())
+            fresh = compute_record(Field3(grid=grid16, values=f.values), coeffs,
+                                   0.002 * step, f0.mean())
+            assert dataclasses.astuple(carried) == dataclasses.astuple(fresh)
 
     @pytest.mark.parametrize("kind", ["desk", "random"])
     def test_carried_matches_fresh_transform(self, grid16, kind):

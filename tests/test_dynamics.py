@@ -26,7 +26,12 @@ from activeflow.errors import (
 from activeflow.oracle import OracleConfig, exact_linear_solution, fd_rhs, fd_run
 from activeflow import cli, diagnostics, dynamics, spectral
 from activeflow.spectral import _cache, forward, synthesize
-from advection_reference import dealias_mask, reference_advection_hat
+from advection_reference import (
+    dealias_mask,
+    embed,
+    reference_advection_hat,
+    reference_step_spectral,
+)
 from conftest import field_from
 from spectral_reference import euler_run_spectral
 
@@ -88,7 +93,7 @@ class TestAdvectionShift:
         ref = -1j * pe * (c["d1"] * g1 + c["d2"] * g2)
         if dealias:
             ref = ref * dealias_mask(grid)
-        out = _advection_hat(values, grid, params)
+        out = embed(_advection_hat(Field3(grid=grid, values=values), params), grid, dealias)
         assert out[0, 0, 0] == 0.0
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -134,7 +139,7 @@ class TestBandForward:
         grid = make_grid(n_x, n_theta)
         values = 0.01 + 0.02 * np.random.default_rng(seed).random(grid.shape)
         params = Params(pe=pe, de=1.0, dt=0.01, dealias=dealias)
-        out = _advection_hat(values, grid, params)
+        out = embed(_advection_hat(Field3(grid=grid, values=values), params), grid, dealias)
         assert out[0, 0, 0] == 0.0
         assert np.array_equal(out, reference_advection_hat(values, grid, params))
 
@@ -191,6 +196,53 @@ class TestMarchResume:
         for (_, c_a, f_a), (_, c_b, f_b) in zip(whole[3:], resumed):
             assert np.array_equal(c_a, c_b)
             assert np.array_equal(f_a.values, f_b.values)
+
+
+class TestBandResidentStep:
+    """march equals the full-spectrum midpoint step bit for bit, zero signs included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_x=st.integers(2, 8).map(lambda k: 2 * k),
+        n_theta=st.integers(2, 8).map(lambda k: 2 * k),
+        dealias=st.booleans(),
+        pe=st.floats(-3.0, -0.01) | st.floats(0.01, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_x=8, n_theta=4, dealias=True, pe=0.7, seed=0)
+    @example(n_x=4, n_theta=4, dealias=False, pe=0.7, seed=3)
+    @example(n_x=16, n_theta=6, dealias=True, pe=-1.3, seed=1)
+    @example(n_x=6, n_theta=16, dealias=False, pe=0.4, seed=2)
+    def test_march_matches_full_spectrum_reference(self, n_x, n_theta, dealias, pe, seed):
+        grid = make_grid(n_x, n_theta)
+        values = 0.01 + 0.02 * np.random.default_rng(seed).random(grid.shape)
+        params = Params(pe=pe, de=1.0, dt=0.01, dealias=dealias)
+        coeffs = forward(Field3(grid=grid, values=values))
+        coeffs[n_x // 2] = -0.0  # negative zeros on the x1-Nyquist plane, off the 2/3 band
+        values = synthesize(coeffs, grid)
+        f0 = Field3(grid=grid, values=values)
+        for step, c_step, f in march(f0, params, 4, coeffs=coeffs.copy()):
+            coeffs = reference_step_spectral(coeffs, values, grid, params)
+            values = synthesize(coeffs, grid)
+            assert np.array_equal(c_step.view(np.uint64), coeffs.view(np.uint64))
+            assert np.array_equal(f.values.view(np.uint64), values.view(np.uint64))
+
+    def test_yielded_field_is_the_synthesized_array(self, grid16, monkeypatch):
+        # march hands the post-step inverse to the field without a copy
+        synthesized = []
+
+        def recorded(coeffs, grid):
+            synthesized.append(synthesize(coeffs, grid))
+            return synthesized[-1]
+
+        monkeypatch.setattr(dynamics, "synthesize", recorded)
+        f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 1)), grid16)
+        for step, _, f in march(f0, Params(pe=0.3, de=1.0, dt=0.01), 3):
+            assert f.values is synthesized[-1]
+            assert not f.values.flags.writeable
+            with pytest.raises(ValueError):
+                f.values[0, 0, 0] = 1.0
+        assert len(synthesized) == 2 * 3
 
 
 class TestCfl:

@@ -6,7 +6,6 @@ import pytest
 from activeflow import (
     Field3,
     SingleModeData,
-    compute_rho,
     forward,
     inverse,
     make_grid,
@@ -84,10 +83,10 @@ class TestDeriv:
 
     def test_rho_commutes_with_spatial_derivative(self, grid16):
         f = random_field(grid16, seed=11)
-        lhs = compute_rho(Field3(grid=grid16, values=grads(f)[0]))
+        lhs = Field3(grid=grid16, values=grads(f)[0]).rho
         k = np.fft.fftfreq(16, d=1.0 / 16)
         ik1 = 1j * np.where(np.abs(k) == 8, 0.0, k)[:, None]
-        rhs = np.fft.ifft2(ik1 * np.fft.fft2(compute_rho(f))).real
+        rhs = np.fft.ifft2(ik1 * np.fft.fft2(f.rho)).real
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -127,18 +126,18 @@ class TestDealias:
 class TestAngleMoments:
     def test_rho_of_constant(self, grid16):
         f = Field3(grid=grid16, values=np.full(grid16.shape, 1.0 / TWO_PI**3))
-        rho = compute_rho(f)
+        rho = f.rho
         assert np.allclose(rho, 1.0 / TWO_PI**2, rtol=1e-13)
 
     def test_rho_kills_pure_cosine(self, grid16):
         f = field_from(grid16, lambda x1, x2, th: np.sin(x1) * np.cos(th))
-        assert np.abs(compute_rho(f)).max() < 1e-14
+        assert np.abs(f.rho).max() < 1e-14
 
     def test_rho_single_mode_closed_form(self, grid32):
         f0 = make_initial(SingleModeData(m=1.0, epsilon=0.1, mode=(1, 0, 0)), grid32)
         x = grid32.x_values()
         expected = (1.0 + 0.1 * np.cos(x))[:, None] / TWO_PI**2 * np.ones((32, 32))
-        assert np.abs(compute_rho(f0) - expected).max() < 1e-15
+        assert np.abs(f0.rho - expected).max() < 1e-15
 
     def test_p_of_theta_independent_field(self, grid16):
         f = field_from(grid16, lambda x1, x2, th: 1.0 + 0.3 * np.cos(x1))
@@ -156,7 +155,7 @@ class TestAngleMoments:
         for seed in range(10):
             f = random_field(grid8, seed=seed, positive=True)
             p_norm = np.hypot(*polarization(f))
-            assert (p_norm <= compute_rho(f) * (1 + 1e-13)).all()
+            assert (p_norm <= f.rho * (1 + 1e-13)).all()
 
 
 class TestPoincare:
