@@ -11,6 +11,7 @@ machine-readable JSON error on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -70,12 +71,16 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     resumes the run from its spectrum and ladder state, byte-identically; one
     of another format or config is refused, and so (ParseError, file left as
     it is) is a diagnostics.csv without the header or a row up to its step.
-    The stop_after_steps hook halts after writing a checkpoint at that step;
-    it exists for interruption/resume testing and is not exposed on the CLI.
+    summary.json is written last, through a moved tmp file, and a fresh
+    (not resumed) start removes the previous one, so it is whole and this
+    run's or absent. The stop_after_steps hook halts after writing a
+    checkpoint at that step; it exists for interruption/resume testing and is
+    not exposed on the CLI.
     """
     grid, params = config.grid, config.params
     os.makedirs(config.output_dir, exist_ok=True)
     csv_path = os.path.join(config.output_dir, "diagnostics.csv")
+    summary_path = os.path.join(config.output_dir, "summary.json")
 
     f0 = make_initial(config.initial, grid)
     mean0 = f0.mean()
@@ -90,6 +95,8 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
         csv_fh = open(csv_path, "a", encoding="utf-8")
     else:
         start_step, ladder_state = 0, None
+        if os.path.exists(summary_path):
+            os.remove(summary_path)
         csv_fh = open(csv_path, "w", encoding="utf-8")
         csv_fh.write(csv_header(config.k_max) + "\n")
     ladder = None if config.truncation_window is None else diag.TruncationReducer(
@@ -156,11 +163,10 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     }
     if ladder is not None:
         summary["truncation"] = _truncation_summary(config, ladder)
-    with open(
-        os.path.join(config.output_dir, "summary.json"), "w", encoding="utf-8"
-    ) as fh:
+    with open(summary_path + ".tmp", "w", encoding="utf-8") as fh:
         json.dump(_json_safe(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(summary_path + ".tmp", summary_path)
     return 0
 
 
@@ -221,22 +227,7 @@ def cmd_decay(config: RunConfig) -> int:
     """Small-Peclet decay report as JSON on stdout."""
     f0 = make_initial(config.initial, config.grid)
     rep = verify_small_pe_decay(f0, config.params, config.t_end)
-    print(
-        json.dumps(
-            _json_safe(
-                {
-                    "kappa": rep.kappa,
-                    "threshold": rep.threshold,
-                    "is_small_pe": rep.is_small_pe,
-                    "measured_rate": rep.measured_rate,
-                    "bound_satisfied": rep.bound_satisfied,
-                    "final_l2_to_const": rep.final_l2_to_const,
-                }
-            ),
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(_json_safe(dataclasses.asdict(rep)), indent=2, sort_keys=True))
     return 1 if rep.is_small_pe and not rep.bound_satisfied else 0
 
 

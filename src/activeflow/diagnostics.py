@@ -81,8 +81,7 @@ def compute_record(
     |coeffs|^2 is formed once for the gradient norm and the spectral tail, the
     fraction of nonconstant L2 energy (Parseval weights) in modes beyond
     tail_fraction * n on some axis. The density and sup norm are f.rho and
-    f.linf: a field march yields already holds its sup norm, and its density
-    is computed once for this record and the next step's advection.
+    f.linf: a field march yields already holds its sup norm.
     """
     c = _cache(f.grid.n_x, f.grid.n_theta)
     rho = f.rho

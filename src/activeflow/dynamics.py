@@ -7,18 +7,22 @@ identically and the stepper conserves mass to machine precision.
 
 march is the one stepping core: it carries the half-spectrum state from step
 to step and owns the CFL warning and the blowup checks. run, step_imex, the
-simulate command and the stationary solver all consume it. A step costs four
-transforms: a forward one per advection stage and the inverses of the stage-2
-midpoint and the new state, which is the next stage-1 input. The forward
-transforms compute only the modes the 2/3 rule keeps (spectral.forward_band).
+simulate command and the stationary solver all consume it.
+
+The advection works in mixed space, physical in x and half-spectral in
+theta: (1 - rho) does not depend on theta, so it multiplies the angle modes
+directly and only the x axes are transformed around the product. A step
+makes nine numpy FFT calls, one along theta: the x inverse and the 2/3-band
+x forward of each stage, and the irfft that gives the new state its samples
+(its x inverse is the next stage-1 input).
 
 The advection increments stay band-resident: _advection_hat returns only the
 band block (spectral._band), and the step applies it to the gathered band
 modes after one semigroup multiply over the whole spectrum per stage. The
 per-grid tables (band indices, d1 -/+ i d2, the semigroup on the band) are
-built once. Each new state is a Field3 over the synthesized array itself,
-with no copy; its sup norm (the blowup check) and its density (the next
-stage-1 advection) are computed once, and the diagnostics record reads both.
+built once. Each new state is a Field3 over the theta inverse's array itself,
+with no copy; its sup norm (the blowup check) is computed once, and the
+diagnostics record reads it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from . import diagnostics as diag
 from .errors import AdmissibilityViolation, NumericalBlowup, RadiusTooLarge
 from .grid import Field3, GridSpec, Params, check_admissible
-from .spectral import _band, _cache, forward, forward_band, inverse, synthesize
+from .spectral import _band, _cache, forward, forward_band, inverse, theta_inverse, x_inverse
 
 
 @dataclass(frozen=True)
@@ -53,26 +57,32 @@ class Trajectory:
     diagnostics: list["diag.DiagnosticsRecord"]
 
 
-def _advection_hat(f: Field3, params: Params) -> np.ndarray:
-    """Band block of the half spectrum of -Pe * div_x((1 - rho) f e(theta)).
+def _advection_hat(mixed: np.ndarray, grid: GridSpec, params: Params) -> np.ndarray:
+    """Band block of the half spectrum of -Pe * div_x((1 - rho) f e(theta)),
+    from at least the first _band(...)["mixed"] planes of f in mixed space.
 
     The block is keep x keep x [0, planes) of spectral._band: the 2/3 band
     with dealias, the whole half spectrum without; the advection is zero on
-    every other mode, and at k = 0. One band-limited forward transform gives
-    the half spectrum B of (1 - rho) f on the block's modes (the modes
-    outside are never computed). A factor cos(theta) or sin(theta) shifts the
-    theta index by one, so mode m is a_lo B[m-1] + a_hi B[m+1], a_lo/hi =
-    -Pe (d1 -/+ i d2) / (2 n_total); past the edges, B[-1] and
+    every other mode, and at k = 0. rho is plane 0 times dtheta, and (1 - rho)
+    times the planes, made real at theta modes 0 and n_theta/2, is the rfft
+    along theta of (1 - rho) f; its band x transform is the half spectrum B
+    of (1 - rho) f on the block's modes. A factor cos(theta) or sin(theta)
+    shifts the theta index by one, so mode m is a_lo B[m-1] + a_hi B[m+1],
+    a_lo/hi = -Pe (d1 -/+ i d2) / (2 n_total); past the edges, B[-1] and
     B[n_theta/2+1] are the conjugates at -k_x of planes 1 and n_theta/2 - 1.
     """
-    grid = f.grid
     b = _band(grid.n_x, grid.n_theta, params.dealias)
     half = grid.n_theta // 2 + 1
-    planes = b["planes"]
-    spec = forward_band((1.0 - f.rho)[:, :, None] * f.values, b["keep"], min(planes + 1, half))
+    planes, n_mixed = b["planes"], b["mixed"]
+    rho = mixed[:, :, 0].real * grid.dtheta
+    product = (1.0 - rho)[:, :, None] * mixed[:, :, :n_mixed]
+    product[:, :, 0].imag = 0.0
+    if n_mixed == half:
+        product[:, :, -1].imag = 0.0
+    spec = forward_band(product, b["keep"])
     edge_lo = spec[:, :, 1][b["neg"]].conj()
     edge_hi = spec[:, :, half - 2][b["neg"]].conj() if planes == half else None
-    scale = -0.5j * params.pe / f.values.size
+    scale = -0.5j * params.pe / (grid.n_x * grid.n_x * grid.n_theta)
     a_lo = scale * b["d_lo"]
     a_hi = scale * b["d_hi"]
     out = np.empty(spec.shape[:2] + (planes,), dtype=spec.dtype)
@@ -91,7 +101,7 @@ def rhs(f: Field3, params: Params) -> Field3:
     diffusion = -(params.de * c["kx_sq"] + c["k3"] ** 2) * forward(f)
     advection = np.zeros_like(diffusion)
     np.put(advection, _band(f.grid.n_x, f.grid.n_theta, params.dealias)["flat"],
-           _advection_hat(f, params))
+           _advection_hat(np.fft.rfft(f.values, axis=2), f.grid, params))
     return inverse(diffusion + advection, f.grid)
 
 
@@ -103,35 +113,39 @@ def cfl_dt(f: Field3, params: Params) -> float:
 
 @lru_cache(maxsize=16)
 def _semigroup(n_x: int, n_theta: int, de: float, dt: float, dealias: bool):
-    """exp(L dt/2) and exp(L dt) for L = -(de |k_x|^2 + k_theta^2), then
-    exp(L dt/2) and dt exp(L dt/2) on the advection band."""
+    """exp(L dt/2) on the mixed planes and exp(L dt) for L = -(de |k_x|^2 +
+    k_theta^2), then exp(L dt/2) and dt exp(L dt/2) on the advection band."""
     c = _cache(n_x, n_theta)
     sym = -(de * c["kx_sq"] + c["k3"] ** 2)
     half = np.exp(0.5 * dt * sym)
-    flat = _band(n_x, n_theta, dealias)["flat"]
-    return half, half * half, half.take(flat), (dt * half).take(flat)
+    b = _band(n_x, n_theta, dealias)
+    flat = b["flat"]
+    return (np.ascontiguousarray(half[:, :, : b["mixed"]]), half * half,
+            half.take(flat), (dt * half).take(flat))
 
 
-def _step_spectral(coeffs: np.ndarray, f: Field3, params: Params) -> np.ndarray:
-    """One integrating-factor midpoint step from coeffs, whose samples f holds:
-    mid = e_half (c + dt/2 k1), then e_full c + dt e_half k2.
+def _step_spectral(coeffs: np.ndarray, k1: np.ndarray, grid: GridSpec,
+                   params: Params) -> np.ndarray:
+    """One integrating-factor midpoint step from coeffs, whose stage-1
+    advection band block is k1: mid = e_half (c + dt/2 k1), then
+    e_full c + dt e_half k2.
 
-    k1 and k2 live on the advection band, where they are added to the band
-    block and put back; off it they are 0. The new spectrum there is
-    e_full c + 0, and the + 0 turns a -0.0 part into +0.0, so every bit of
-    it, and of a checkpoint that stores it, is the formula's. The midpoint
-    needs no such pass: it is only synthesized, and the sign of a zero
-    changes no sum that has a nonzero term.
+    The midpoint is built and x-inverted on the mixed planes only. k1 and k2
+    live on the advection band, where they are added to the band block and
+    put back; off it they are 0. The new spectrum there is e_full c + 0, and
+    the + 0 turns a -0.0 part into +0.0, so every bit of it, and of a
+    checkpoint that stores it, is the formula's. The midpoint needs no such
+    pass: the sign of a zero changes no sum that has a nonzero term.
     """
-    grid, dt = f.grid, params.dt
-    e_half, e_full, band_half, band_dt_half = _semigroup(
+    dt = params.dt
+    e_mixed, e_full, band_half, band_dt_half = _semigroup(
         grid.n_x, grid.n_theta, params.de, dt, params.dealias
     )
-    flat = _band(grid.n_x, grid.n_theta, params.dealias)["flat"]
-    k1 = _advection_hat(f, params)
-    mid = e_half * coeffs
-    np.put(mid, flat, band_half * (coeffs.take(flat) + 0.5 * dt * k1))
-    k2 = _advection_hat(Field3.adopt(grid, synthesize(mid, grid)), params)
+    b = _band(grid.n_x, grid.n_theta, params.dealias)
+    flat = b["flat"]
+    mid = e_mixed * coeffs[:, :, : b["mixed"]]
+    np.put(mid, b["flat_mixed"], band_half * (coeffs.take(flat) + 0.5 * dt * k1))
+    k2 = _advection_hat(x_inverse(mid, grid), grid, params)
     out = e_full * coeffs
     band = out.take(flat) + band_dt_half * k2
     out += 0.0
@@ -148,25 +162,32 @@ def march(
     """The stepping core: yield (step, coeffs, field) for each step after start_step.
 
     f is the field at start_step and coeffs its half spectrum (forward(f) when
-    not given); the run ends after step n_steps. Warns once
-    (without rejecting) when dt exceeds the CFL bound of f, and raises
-    NumericalBlowup on non-finite output or >10x sup-norm growth in one step.
-    Each yielded field adopts the synthesized array (read-only, not copied);
-    the sup norm of those checks is its linf.
+    not given; every step derives from coeffs alone); the run ends after step
+    n_steps. Warns once (without rejecting) when dt exceeds the CFL bound of
+    f, and raises NumericalBlowup on non-finite output or >10x sup-norm growth
+    in one step. Each yielded field adopts the theta inverse's array
+    (read-only, not copied); of its mixed-space array only the next stage-1
+    band block outlives the yield.
     """
     if params.dt > cfl_dt(f, params):
         warnings.warn(_CFL_WARNING, RuntimeWarning, stacklevel=2)
     grid = f.grid
     if coeffs is None:
         coeffs = forward(f)
+    if start_step < n_steps:
+        k1 = _advection_hat(x_inverse(coeffs, grid), grid, params)
     for step in range(start_step + 1, n_steps + 1):
         prev_linf = f.linf
-        coeffs = _step_spectral(coeffs, f, params)
-        f = Field3.adopt(grid, synthesize(coeffs, grid))
+        coeffs = _step_spectral(coeffs, k1, grid, params)
+        mixed = x_inverse(coeffs, grid)
+        f = Field3.adopt(grid, theta_inverse(mixed, grid))
         if not math.isfinite(f.linf):
             raise NumericalBlowup("non-finite values after step", step=step)
         if f.linf > 10.0 * prev_linf and prev_linf > 0.0:
             raise NumericalBlowup("sup norm grew more than 10x in one step", step=step)
+        if step < n_steps:
+            k1 = _advection_hat(mixed, grid, params)
+        del mixed
         yield step, coeffs, f
 
 
@@ -203,10 +224,11 @@ def run(
     mean0 = f0.mean()
     n_steps = int(math.ceil(t_end / params.dt - 1e-9)) if t_end > 0 else 0
 
-    records = [diag.compute_record(f0, forward(f0), 0.0, mean0, diagnostics_k_max)]
+    coeffs = forward(f0)
+    records = [diag.compute_record(f0, coeffs, 0.0, mean0, diagnostics_k_max)]
     times = [0.0]
     snapshots = [f0]
-    for step, coeffs, f in march(f0, params, n_steps):
+    for step, coeffs, f in march(f0, params, n_steps, coeffs=coeffs):
         t = step * params.dt
         records.append(diag.compute_record(f, coeffs, t, mean0, diagnostics_k_max))
         if step % snapshot_stride == 0 or step == n_steps:

@@ -2,7 +2,10 @@
 
 Transforms are normalized so the zero-mode coefficient equals the grid mean
 of the field; mass conservation then reduces to one coefficient staying put.
-The angle axis is the real-transform (half-spectrum) axis.
+The angle axis is the real-transform (half-spectrum) axis. The inverse is
+split as irfftn runs it, x_inverse then theta_inverse; between them lies
+mixed space, physical in x and half-spectral in theta, where the advection
+product is taken, and forward_band is the x-only way back on the 2/3 band.
 """
 
 from __future__ import annotations
@@ -67,16 +70,21 @@ def _band(n_x: int, n_theta: int, dealias: bool):
     keep (x-wavenumber indices, fftfreq order) and planes (theta planes) span
     the 2/3 band with dealias and the whole half spectrum without; the band
     block is keep x keep x [0, planes), and flat holds its flat indices in the
-    half spectrum. neg is the np.ix_ pair that sends each kept x-wavenumber
-    pair to its negative, and d_lo / d_hi are d1 -/+ i d2 on the band.
+    half spectrum and flat_mixed in the advection's mixed planes (one more
+    for the index shift, within the half spectrum). neg is the np.ix_ pair
+    that sends each kept x-wavenumber pair to its negative, and d_lo / d_hi
+    are d1 -/+ i d2 on the band.
     """
     c = _cache(n_x, n_theta)
     half = n_theta // 2 + 1
     keep, planes = c["band"] if dealias else (np.arange(n_x), half)
+    mixed = min(planes + 1, half)
     neg = -np.arange(keep.size) % keep.size
     d1, d2 = c["d1"][keep], c["d2"][:, keep]
-    flat = np.ravel_multi_index(np.ix_(keep, keep, np.arange(planes)), (n_x, n_x, half))
-    return dict(keep=keep, planes=planes, flat=flat, neg=np.ix_(neg, neg),
+    block = np.ix_(keep, keep, np.arange(planes))
+    return dict(keep=keep, planes=planes, mixed=mixed, neg=np.ix_(neg, neg),
+                flat=np.ravel_multi_index(block, (n_x, n_x, half)),
+                flat_mixed=np.ravel_multi_index(block, (n_x, n_x, mixed)),
                 d_lo=d1 - 1j * d2, d_hi=d1 + 1j * d2)
 
 
@@ -86,32 +94,40 @@ def forward(f: Field3) -> np.ndarray:
     return np.fft.rfftn(f.values) / f.values.size
 
 
-def forward_band(values: np.ndarray, keep: np.ndarray, planes: int) -> np.ndarray:
-    """Unnormalized rfftn(values) on the modes keep x keep x [0, planes) only.
+def forward_band(mixed: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Unnormalized x transform of a mixed-space array on the kept x modes only.
 
-    rfftn's axis order and pocketfft calls, one 1-D line at a time: rfft along
-    theta, fft along x2 on the first `planes` planes, fft along x1 on the kept
-    x2-lines. The kept modes are therefore rfftn's bit for bit. keep lists
-    x-wavenumber indices in fftfreq order.
+    fft along x2 (in place: mixed is overwritten), then along x1 on the kept
+    x2-lines, one 1-D line at a time as rfftn runs them after its rfft along
+    theta, so on the rfft of a field the kept modes are rfftn's bit for bit.
+    keep lists x-wavenumber indices in fftfreq order.
     """
-    spec = np.fft.rfft(values, axis=2)[:, :, :planes]
-    spec = np.fft.fft(spec, axis=1).take(keep, axis=1)
+    np.fft.fft(mixed, axis=1, out=mixed)
+    spec = mixed.take(keep, axis=1)
     np.fft.fft(spec, axis=0, out=spec)
-    return spec[keep]
+    return spec.take(keep, axis=0)
+
+
+def x_inverse(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Mixed-space samples of every theta plane coeffs holds, scaled so their
+    irfft along theta is the field: irfftn's x calls, in place on one copy."""
+    scaled = coeffs * (grid.n_x * grid.n_x * grid.n_theta)
+    np.fft.ifft(scaled, axis=0, out=scaled)
+    np.fft.ifft(scaled, axis=1, out=scaled)
+    return scaled
+
+
+def theta_inverse(mixed: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The field samples of a whole mixed-space array: irfftn's last call."""
+    return np.fft.irfft(mixed, grid.n_theta, axis=2)
 
 
 def synthesize(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Samples of a mean-normalized half spectrum; the one expression for it,
-    so a run resumed from a checkpointed spectrum rebuilds its field bit for bit.
-
-    irfftn's axis order and calls, with the x1 and x2 inverses run in place
-    on the one scaled copy: the same bits without two spectrum-sized temporaries.
+    so a run resumed from a checkpointed spectrum rebuilds its field bit for
+    bit: irfftn's axis order and calls, without its two temporaries.
     """
-    n_total = grid.n_x * grid.n_x * grid.n_theta
-    scaled = coeffs * n_total
-    np.fft.ifft(scaled, axis=0, out=scaled)
-    np.fft.ifft(scaled, axis=1, out=scaled)
-    return np.fft.irfft(scaled, grid.n_theta, axis=2)
+    return theta_inverse(x_inverse(coeffs, grid), grid)
 
 
 def inverse(coeffs: np.ndarray, grid: GridSpec) -> Field3:

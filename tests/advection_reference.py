@@ -1,15 +1,19 @@
-"""Full-spectrum advection and step: the references the band-resident ones must match.
+"""Whole-array advection and step: the references the band-resident ones must match.
 
-reference_advection_hat is a single-rfftn advection transform: it transforms
-every mode and then applies the 2/3 mask, so the band block of
-dynamics._advection_hat can be checked against it bit for bit.
-reference_step_spectral is the integrating-factor midpoint step written over
-whole half-spectrum arrays, the advection increments zero off the band.
+reference_advection_hat is the physical-product advection transform: one
+full rfftn of (1 - rho) f, then the 2/3 mask. reference_mixed_advection_hat
+takes the same product in mixed space (physical in x, half spectrum in theta)
+over every mode, as dynamics._advection_hat does on the band, so the band
+block can be checked against it bit for bit. reference_step_spectral and
+reference_mixed_step are the integrating-factor midpoint step written over
+whole half-spectrum arrays, the advection increments zero off the band: the
+first with the physical product, which march must match to rounding, the
+second with the mixed-space one, which march must match bit for bit.
 """
 
 import numpy as np
 
-from activeflow.spectral import _cache, synthesize
+from activeflow.spectral import _cache, synthesize, x_inverse
 
 
 def dealias_mask(grid):
@@ -24,15 +28,14 @@ def dealias_mask(grid):
     )
 
 
-def reference_advection_hat(values, grid, params):
-    """Half spectrum of -Pe div_x((1 - rho) f e(theta)) from one full rfftn."""
+def _shifted(spec, grid, params):
+    """-Pe div_x(B e(theta)) from the whole unnormalized half spectrum B:
+    cos and sin shift the theta index by one, conjugates at -k_x past the edges."""
     c = _cache(grid.n_x, grid.n_theta)
-    rho = values.sum(axis=2) * grid.dtheta
-    spec = np.fft.rfftn((1.0 - rho)[:, :, None] * values)
     neg = -np.arange(grid.n_x) % grid.n_x
     edge_lo = spec[:, :, 1][neg][:, neg].conj()
     edge_hi = spec[:, :, grid.n_theta // 2 - 1][neg][:, neg].conj()
-    scale = -0.5j * params.pe / values.size
+    scale = -0.5j * params.pe / (grid.n_x * grid.n_x * grid.n_theta)
     a_lo = scale * (c["d1"] - 1j * c["d2"])
     a_hi = scale * (c["d1"] + 1j * c["d2"])
     out = np.empty_like(spec)
@@ -46,6 +49,23 @@ def reference_advection_hat(values, grid, params):
     return out
 
 
+def reference_advection_hat(values, grid, params):
+    """Half spectrum of -Pe div_x((1 - rho) f e(theta)) from one full rfftn."""
+    rho = values.sum(axis=2) * grid.dtheta
+    return _shifted(np.fft.rfftn((1.0 - rho)[:, :, None] * values), grid, params)
+
+
+def reference_mixed_advection_hat(mixed, grid, params):
+    """The same from f in mixed space: rho from plane 0, (1 - rho) times every
+    plane, planes 0 and n_theta/2 made real, then fft along x2 and x1."""
+    rho = mixed[:, :, 0].real * grid.dtheta
+    product = (1.0 - rho)[:, :, None] * mixed
+    product[:, :, 0].imag = 0.0
+    product[:, :, -1].imag = 0.0
+    spec = np.fft.fft(np.fft.fft(product, axis=1), axis=0)
+    return _shifted(spec, grid, params)
+
+
 def embed(block, grid, dealias):
     """The half spectrum that holds an advection band block and zeros elsewhere."""
     full = np.zeros((grid.n_x, grid.n_x, grid.n_theta // 2 + 1), dtype=complex)
@@ -57,22 +77,28 @@ def embed(block, grid, dealias):
     return full
 
 
-def reference_step_spectral(coeffs, values, grid, params):
-    """One integrating-factor midpoint step over whole half-spectrum arrays.
-
-    The advection increments are +0.0 off the 2/3 band (not the signed zeros
-    the mask multiply leaves), so the step's zero signs are the formula's.
-    """
+def _midpoint_step(coeffs, grid, params, advection):
+    """mid = e_half (c + dt/2 k1), then e_full c + dt e_half k2, with k the
+    advection of a stage's spectrum, +0.0 off the 2/3 band (not the signed
+    zeros the mask multiply leaves), so the step's zero signs are the formula's."""
     c = _cache(grid.n_x, grid.n_theta)
     dt = params.dt
     e_half = np.exp(0.5 * dt * -(params.de * c["kx_sq"] + c["k3"] ** 2))
     e_full = e_half * e_half
     keep = dealias_mask(grid) if params.dealias else True
-
-    def advection(v):
-        return np.where(keep, reference_advection_hat(v, grid, params), 0.0)
-
-    k1 = advection(values)
+    k1 = np.where(keep, advection(coeffs), 0.0)
     mid = e_half * (coeffs + 0.5 * dt * k1)
-    k2 = advection(synthesize(mid, grid))
+    k2 = np.where(keep, advection(mid), 0.0)
     return e_full * coeffs + dt * e_half * k2
+
+
+def reference_step_spectral(coeffs, grid, params):
+    """One midpoint step with the physical product: each stage synthesized."""
+    return _midpoint_step(coeffs, grid, params, lambda spec: reference_advection_hat(
+        synthesize(spec, grid), grid, params))
+
+
+def reference_mixed_step(coeffs, grid, params):
+    """One midpoint step with the mixed-space product: each stage x-inverted."""
+    return _midpoint_step(coeffs, grid, params, lambda spec: reference_mixed_advection_hat(
+        x_inverse(spec, grid), grid, params))

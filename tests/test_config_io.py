@@ -329,6 +329,47 @@ class TestSimulateCommand:
         assert cmd_simulate(cfg) == 0
         assert output_files(doc["output_dir"]) == uninterrupted_window_run()
 
+    def test_blowup_rerun_leaves_no_success_summary(self, tmp_path, capsys):
+        # a finished run, then one that blows up at step 1 in the same output_dir
+        out = str(tmp_path / "stale")
+        done = base_doc(output_dir=out, grid={"n_x": 8, "n_theta": 8}, t_end=0.1,
+                        snapshot_stride=5)
+        assert main(["simulate", "--config", write_config(tmp_path, done)]) == 0
+        assert (tmp_path / "stale" / "summary.json").exists()
+        blowup = dict(done, params={"pe": 500.0, "de": 1.0, "dt": 0.5})
+        with pytest.warns(RuntimeWarning):
+            rc = main(["simulate", "--config", write_config(tmp_path, blowup, "b.json")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "NumericalBlowup"
+        assert not (tmp_path / "stale" / "summary.json").exists()
+
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_failed_summary_write_leaves_old_file_or_none(
+        self, tmp_path, monkeypatch, capsys, resumed
+    ):
+        # a rerun fails at the summary's rename: a final-step resume keeps the
+        # finished run's summary whole, a fresh start has removed it
+        doc = window_doc(str(tmp_path / "sum"), checkpoint_every=12 if resumed else 0)
+        path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", path]) == 0
+        summary = tmp_path / "sum" / "summary.json"
+        old = summary.read_bytes()
+        real_replace = os.replace
+
+        def failing(src, dst):
+            if os.path.basename(dst) == "summary.json":
+                raise OSError("rename failed")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+        assert main(["simulate", "--config", path]) == 2
+        monkeypatch.undo()
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "OSError"
+        if resumed:
+            assert summary.read_bytes() == old
+        else:
+            assert not summary.exists()
+
     def test_resume_refuses_short_csv(self, tmp_path, capsys):
         doc = base_doc(output_dir=str(tmp_path / "sh"), t_end=1.0)
         assert cmd_simulate(parse_config(doc), stop_after_steps=20) == 0

@@ -24,12 +24,13 @@ from activeflow.errors import (
     RadiusTooLarge,
 )
 from activeflow.oracle import OracleConfig, exact_linear_solution, fd_rhs, fd_run
-from activeflow import cli, diagnostics, dynamics, spectral
-from activeflow.spectral import _cache, forward, synthesize
+from activeflow import dynamics, spectral
+from activeflow.spectral import _cache, forward, synthesize, x_inverse
 from advection_reference import (
     dealias_mask,
     embed,
-    reference_advection_hat,
+    reference_mixed_advection_hat,
+    reference_mixed_step,
     reference_step_spectral,
 )
 from conftest import field_from
@@ -93,29 +94,34 @@ class TestAdvectionShift:
         ref = -1j * pe * (c["d1"] * g1 + c["d2"] * g2)
         if dealias:
             ref = ref * dealias_mask(grid)
-        out = embed(_advection_hat(Field3(grid=grid, values=values), params), grid, dealias)
+        mixed = np.fft.rfft(values, axis=2)
+        out = embed(_advection_hat(mixed, grid, params), grid, dealias)
         assert out[0, 0, 0] == 0.0
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def _count_transforms(monkeypatch, fn) -> int:
-    """Number of 3-D transforms fn() makes, counted at the solver's own entry
-    points wherever an activeflow module binds them: spectral.forward, the
-    band forward spectral.forward_band and the inverse spectral.synthesize."""
-    calls = [0]
-    for name in ("forward", "forward_band", "synthesize"):
-        orig = getattr(spectral, name)
+FFT_CALLS = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
 
-        def counted(*args, _orig=orig, **kwargs):
-            calls[0] += 1
+
+def _count_ffts(monkeypatch, fn) -> dict:
+    """Calls fn() makes to each numpy.fft transform, which every activeflow
+    module reaches through np.fft: one call is one pass along its axes."""
+    calls = dict.fromkeys(FFT_CALLS, 0)
+    for name in FFT_CALLS:
+        def counted(*args, _name=name, _orig=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
             return _orig(*args, **kwargs)
 
-        for module in (spectral, dynamics, diagnostics, cli):
-            if getattr(module, name, None) is orig:
-                monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(np.fft, name, counted)
     fn()
     monkeypatch.undo()
-    return calls[0]
+    return calls
+
+
+def _passes(calls: dict) -> tuple[int, int]:
+    """(numpy FFT calls, passes along theta): rfft/irfft, and the n-D real ones."""
+    theta = sum(calls[n] for n in ("rfft", "irfft", "rfftn", "irfftn"))
+    return sum(calls.values()), theta
 
 
 class TestBandForward:
@@ -136,12 +142,15 @@ class TestBandForward:
     def test_advection_equals_full_transform_reference(
         self, n_x, n_theta, dealias, pe, seed
     ):
+        # mixed space as rhs makes it (rfft along theta) and as march does (x inverse)
         grid = make_grid(n_x, n_theta)
         values = 0.01 + 0.02 * np.random.default_rng(seed).random(grid.shape)
         params = Params(pe=pe, de=1.0, dt=0.01, dealias=dealias)
-        out = embed(_advection_hat(Field3(grid=grid, values=values), params), grid, dealias)
-        assert out[0, 0, 0] == 0.0
-        assert np.array_equal(out, reference_advection_hat(values, grid, params))
+        coeffs = forward(Field3(grid=grid, values=values))
+        for mixed in (np.fft.rfft(values, axis=2), x_inverse(coeffs, grid)):
+            out = embed(_advection_hat(mixed, grid, params), grid, dealias)
+            assert out[0, 0, 0] == 0.0
+            assert np.array_equal(out, reference_mixed_advection_hat(mixed, grid, params))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -152,33 +161,52 @@ class TestBandForward:
     def test_kept_modes_are_rfftn_bits(self, n_x, n_theta, seed):
         values = np.random.default_rng(seed).random((n_x, n_x, n_theta))
         keep, planes = _cache(n_x, n_theta)["band"]
-        band = spectral.forward_band(values, keep, planes)
+        band = spectral.forward_band(np.fft.rfft(values, axis=2)[:, :, :planes], keep)
         full = np.fft.rfftn(values)[:, :, :planes][np.ix_(keep, keep)]
         assert np.array_equal(band.view(np.uint64), full.view(np.uint64))
 
 
 class TestTransformCount:
-    """The transform count per step is the solver's figure of merit."""
+    """The transform count per step is the solver's figure of merit.
 
-    def test_march_makes_four_per_step(self, grid16, monkeypatch):
-        f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 1)), grid16)
-        params = Params(pe=0.3, de=1.0, dt=0.01)
-        n = _count_transforms(monkeypatch, lambda: list(march(f0, params, 5)))
-        assert n == 1 + 4 * 5
+    A step makes 9 numpy FFT calls, one of them along theta: the x inverse
+    (2) and x forward (2) of the stage-2 midpoint, the new state's x inverse
+    (2) and irfft (1), and the x forward of the next step's stage 1 (2),
+    which the last step skips. A march starts with the x inverse and x
+    forward of its first stage 1 (4), after forward(f) (1 rfftn) when it is
+    given no spectrum.
+    """
 
-    def test_carried_spectrum_skips_the_startup_transform(self, grid16, monkeypatch):
+    @pytest.fixture
+    def desk(self, grid16):
         f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 1)), grid16)
-        params = Params(pe=0.3, de=1.0, dt=0.01)
+        return f0, Params(pe=0.3, de=1.0, dt=0.01)
+
+    def test_march_makes_nine_per_step_one_along_theta(self, desk, monkeypatch):
+        f0, params = desk
+        counts = [_passes(_count_ffts(monkeypatch, lambda: list(march(f0, params, n))))
+                  for n in (4, 5)]
+        assert counts[1][0] - counts[0][0] == 9
+        assert counts[1][1] - counts[0][1] == 1
+        assert counts[1] == (1 + 4 + 9 * 5 - 2, 1 + 5)
+
+    def test_carried_spectrum_skips_the_startup_transform(self, desk, monkeypatch):
+        f0, params = desk
         coeffs = forward(f0)
-        n = _count_transforms(
-            monkeypatch, lambda: list(march(f0, params, 5, coeffs=coeffs))
-        )
-        assert n == 4 * 5
+        calls = _count_ffts(monkeypatch, lambda: list(march(f0, params, 5, coeffs=coeffs)))
+        assert _passes(calls) == (4 + 9 * 5 - 2, 5)
 
-    def test_rhs_makes_three(self, grid16, monkeypatch):
-        f = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 1)), grid16)
-        params = Params(pe=0.3, de=1.0, dt=0.01)
-        assert _count_transforms(monkeypatch, lambda: rhs(f, params)) == 3
+    def test_run_transforms_the_initial_field_once(self, desk, monkeypatch):
+        # one forward for the step-0 record and march both
+        f0, params = desk
+        calls = _count_ffts(monkeypatch, lambda: run(f0, params, 0.05, snapshot_stride=10**9))
+        assert calls["rfftn"] == 1
+        assert _passes(calls) == (1 + 4 + 9 * 5 - 2, 1 + 5)
+
+    def test_rhs_makes_seven(self, desk, monkeypatch):
+        # forward (1), rfft along theta and the band x forward (3), inverse (3)
+        f, params = desk
+        assert _passes(_count_ffts(monkeypatch, lambda: rhs(f, params))) == (7, 3)
 
 
 class TestMarchResume:
@@ -198,8 +226,36 @@ class TestMarchResume:
             assert np.array_equal(f_a.values, f_b.values)
 
 
+class TestMixedSpaceStep:
+    """march's mixed-space product agrees with the physical one to rounding."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_x=st.integers(2, 8).map(lambda k: 2 * k),
+        n_theta=st.integers(2, 8).map(lambda k: 2 * k),
+        dealias=st.booleans(),
+        pe=st.floats(-3.0, -0.01) | st.floats(0.01, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_x=8, n_theta=4, dealias=True, pe=0.7, seed=0)
+    @example(n_x=4, n_theta=4, dealias=False, pe=-0.7, seed=3)
+    @example(n_x=16, n_theta=6, dealias=True, pe=-1.3, seed=1)
+    @example(n_x=6, n_theta=16, dealias=False, pe=0.4, seed=2)
+    def test_march_matches_physical_product_reference(self, n_x, n_theta, dealias, pe, seed):
+        grid = make_grid(n_x, n_theta)
+        values = 0.01 + 0.02 * np.random.default_rng(seed).random(grid.shape)
+        params = Params(pe=pe, de=1.0, dt=0.01, dealias=dealias)
+        coeffs = forward(Field3(grid=grid, values=values))
+        mean = coeffs[0, 0, 0]
+        for _, c_step, _ in march(Field3(grid=grid, values=values), params, 4,
+                                  coeffs=coeffs.copy()):
+            coeffs = reference_step_spectral(coeffs, grid, params)
+            assert np.abs(c_step - coeffs).max() <= 1e-13 * np.abs(coeffs).max()
+            assert c_step[0, 0, 0].tobytes() == coeffs[0, 0, 0].tobytes() == mean.tobytes()
+
+
 class TestBandResidentStep:
-    """march equals the full-spectrum midpoint step bit for bit, zero signs included."""
+    """march equals the whole-array mixed-space step bit for bit, zero signs included."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -219,30 +275,29 @@ class TestBandResidentStep:
         params = Params(pe=pe, de=1.0, dt=0.01, dealias=dealias)
         coeffs = forward(Field3(grid=grid, values=values))
         coeffs[n_x // 2] = -0.0  # negative zeros on the x1-Nyquist plane, off the 2/3 band
-        values = synthesize(coeffs, grid)
-        f0 = Field3(grid=grid, values=values)
+        f0 = Field3(grid=grid, values=synthesize(coeffs, grid))
         for step, c_step, f in march(f0, params, 4, coeffs=coeffs.copy()):
-            coeffs = reference_step_spectral(coeffs, values, grid, params)
+            coeffs = reference_mixed_step(coeffs, grid, params)
             values = synthesize(coeffs, grid)
             assert np.array_equal(c_step.view(np.uint64), coeffs.view(np.uint64))
             assert np.array_equal(f.values.view(np.uint64), values.view(np.uint64))
 
     def test_yielded_field_is_the_synthesized_array(self, grid16, monkeypatch):
-        # march hands the post-step inverse to the field without a copy
-        synthesized = []
+        # march hands the post-step theta inverse to the field without a copy
+        inverted = []
 
-        def recorded(coeffs, grid):
-            synthesized.append(synthesize(coeffs, grid))
-            return synthesized[-1]
+        def recorded(mixed, grid):
+            inverted.append(spectral.theta_inverse(mixed, grid))
+            return inverted[-1]
 
-        monkeypatch.setattr(dynamics, "synthesize", recorded)
+        monkeypatch.setattr(dynamics, "theta_inverse", recorded)
         f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 1)), grid16)
         for step, _, f in march(f0, Params(pe=0.3, de=1.0, dt=0.01), 3):
-            assert f.values is synthesized[-1]
+            assert f.values is inverted[-1]
             assert not f.values.flags.writeable
             with pytest.raises(ValueError):
                 f.values[0, 0, 0] = 1.0
-        assert len(synthesized) == 2 * 3
+        assert len(inverted) == 3
 
 
 class TestCfl:
