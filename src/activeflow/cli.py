@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -71,11 +72,11 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     resumes the run from its spectrum and ladder state, byte-identically; one
     of another format or config is refused, and so (ParseError, file left as
     it is) is a diagnostics.csv without the header or a row up to its step.
-    summary.json is written last, through a moved tmp file, and a fresh
-    (not resumed) start removes the previous one, so it is whole and this
-    run's or absent. The stop_after_steps hook halts after writing a
-    checkpoint at that step; it exists for interruption/resume testing and is
-    not exposed on the CLI.
+    summary.json is written last, through a moved tmp file, and a fresh (not
+    resumed) start removes the previous one and every snap_*.bin(.tmp), so
+    each output is this run's and the summary whole or absent. The stop_after_steps
+    hook halts after writing a checkpoint at that step; it exists for
+    interruption/resume testing and is not exposed on the CLI.
     """
     grid, params = config.grid, config.params
     os.makedirs(config.output_dir, exist_ok=True)
@@ -95,8 +96,9 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
         csv_fh = open(csv_path, "a", encoding="utf-8")
     else:
         start_step, ladder_state = 0, None
-        if os.path.exists(summary_path):
-            os.remove(summary_path)
+        for name in os.listdir(config.output_dir):  # the previous run's outputs
+            if name == "summary.json" or re.fullmatch(r"snap_.*\.bin(\.tmp)?", name):
+                os.remove(os.path.join(config.output_dir, name))
         csv_fh = open(csv_path, "w", encoding="utf-8")
         csv_fh.write(csv_header(config.k_max) + "\n")
     ladder = None if config.truncation_window is None else diag.TruncationReducer(
@@ -118,7 +120,7 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
         t = step * params.dt
         writer.submit(snap_path(step), f, t, step, params)
         if ladder is not None and ladder.covers(t):
-            ladder.add(t, f.values, diag._spectral_grads(coeffs, grid))
+            ladder.add(t, f.values, coeffs=coeffs, grid=grid)
 
     try:
         f = None  # stays None on a final-step resume: no step is left to take

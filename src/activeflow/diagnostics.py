@@ -91,7 +91,8 @@ def compute_record(
     abs_sq = np.abs(coeffs) ** 2
     weight = TWO_PI**3 * c["mult"]
     energy = weight * abs_sq
-    nonconstant = float(energy.sum()) - float(energy[0, 0, 0])
+    energy[0, 0, 0] = 0.0  # not subtracted after the sum: that cancels to noise
+    nonconstant = float(energy.sum())
     tail = 0.0 if nonconstant <= 1e-300 else float(
         energy[_tail_mask(f.grid.n_x, f.grid.n_theta, tail_fraction)].sum()
     ) / nonconstant
@@ -146,12 +147,17 @@ def truncation_levels(k_max: int) -> list[float]:
 class TruncationReducer:
     """The truncation ladder as a streaming reduction over snapshots.
 
-    Snapshots arrive in increasing time as (t, values, grads); the canonical
+    Snapshots and their gradients arrive in increasing time; the canonical
     windows T_k in [-1, -1/2] map affinely onto [t_a, t_b]. Only scalars are
     kept: the first and last time added, the in-window count and, per level,
     the sup of the truncated L2 energy, the left-endpoint time integral of the
     masked gradient energy, and the last snapshot's masked gradient energy,
     which waits for the next dt. state() is JSON-ready and resumes via `state`.
+
+    As grad (f - C_k)_+ = 1{f > C_k} grad f, add classes the held levels by
+    the snapshot's range: one at or above max f adds 0.0 with no array work,
+    one below min f the whole gradient energy (by Parseval from a spectrum),
+    and only one in between masks gradient fields, synthesized only then.
     """
 
     def __init__(self, window, k_max: int, cell_volume: float, state=None):
@@ -177,30 +183,46 @@ class TruncationReducer:
         t_a, t_b = self.window
         return t_a - 1e-12 <= t <= t_b + 1e-12
 
-    def add(self, t: float, values=None, grads=None) -> None:
-        """Take the snapshot at t; values and grads are read only inside the window."""
+    def add(self, t: float, values=None, grads=None, coeffs=None, grid=None) -> None:
+        """Take the snapshot at t; values and the gradients, grads or those of
+        the half spectrum coeffs on grid, are read only inside the window."""
         self.first = t if self.first is None else self.first
         prev, self.last = self.last, t
         if not self.covers(t):
             return
         self.count += 1
-        held = []  # (level, mask) of the levels whose window holds t
+        lo, hi = float(values.min()), float(values.max())
+        whole, partial = [], []  # levels held at t; partial ones with their masks
         for k, (c_k, w_k) in enumerate(zip(self.levels, self.window_times)):
             if t < w_k - 1e-12:
                 continue
-            cut = values - c_k
-            above = cut > 0.0
-            trunc = np.where(above, cut, 0.0)
-            self.sup[k] = max(self.sup[k], float((trunc**2).sum()) * self.cell_volume)
             if self.pending[k] is not None:
                 self.grad[k] += (t - prev) * self.pending[k] * self.cell_volume
             self.pending[k] = 0.0
-            held.append((k, above))
-        masked = cut  # the last level's array, free now (level 0 always holds t)
+            if c_k >= hi:
+                continue
+            cut = values - c_k
+            if c_k < lo:
+                whole.append(k)
+            else:
+                above = cut > 0.0
+                cut = np.where(above, cut, 0.0)
+                partial.append((k, above))
+            self.sup[k] = max(self.sup[k], float((cut**2).sum()) * self.cell_volume)
+        total = 0.0  # the unmasked gradient energy, for the whole levels
+        if coeffs is not None:
+            total = _gradient_energy(coeffs, grid) if whole else 0.0
+            grads = _spectral_grads(coeffs, grid) if partial else ()
+        elif not (whole or partial):
+            grads = ()
         for g in grads:  # squared once per snapshot, into a new array: grads may be shared
             g_sq = g * g
-            for k, above in held:  # for finite squares, np.where(above, g_sq, 0.0)
-                self.pending[k] += float(np.multiply(g_sq, above, out=masked).sum())
+            if coeffs is None and whole:
+                total += float(g_sq.sum())
+            for k, above in partial:  # cut is the last level's array, free now
+                self.pending[k] += float(np.multiply(g_sq, above, out=cut).sum())
+        for k in whole:
+            self.pending[k] = total
 
     def finish(self, require_span: bool = True) -> TruncationLadder:
         """The ladder; with require_span the times added must cover the window."""
@@ -225,6 +247,16 @@ def _spectral_grads(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, ...
     """The three spectral partial derivatives of the field with half spectrum coeffs."""
     c = _cache(grid.n_x, grid.n_theta)
     return tuple(synthesize(1j * c[d] * coeffs, grid) for d in ("d1", "d2", "d3"))
+
+
+def _gradient_energy(coeffs: np.ndarray, grid: GridSpec) -> float:
+    """The grid sum of the squared _spectral_grads fields, by Parseval:
+    n_x^2 n_theta sum mult (d1^2 + d2^2 + d3^2) |c|^2, one axis at a time."""
+    c = _cache(grid.n_x, grid.n_theta)
+    power = c["mult"] * (coeffs.real**2 + coeffs.imag**2)
+    total = sum(float(power.sum(axis=axes) @ c[d].ravel() ** 2)
+                for axes, d in (((1, 2), "d1"), ((0, 2), "d2"), ((0, 1), "d3")))
+    return total * grid.n_x * grid.n_x * grid.n_theta
 
 
 def truncation_energy(

@@ -98,10 +98,14 @@ def _advection_hat(mixed: np.ndarray, grid: GridSpec, params: Params) -> np.ndar
 def rhs(f: Field3, params: Params) -> Field3:
     """de * Delta_x f + d^2f/dtheta^2 - Pe div_x((1 - rho) f e(theta))."""
     c = _cache(f.grid.n_x, f.grid.n_theta)
-    diffusion = -(params.de * c["kx_sq"] + c["k3"] ** 2) * forward(f)
+    # one pass along theta for both terms; fft along x2, then x1, on it is
+    # rfftn's own sequence, so spec is forward(f) bit for bit
+    mixed = np.fft.rfft(f.values, axis=2)
+    spec = np.fft.fft(np.fft.fft(mixed, axis=1), axis=0) / f.values.size
+    diffusion = -(params.de * c["kx_sq"] + c["k3"] ** 2) * spec
     advection = np.zeros_like(diffusion)
     np.put(advection, _band(f.grid.n_x, f.grid.n_theta, params.dealias)["flat"],
-           _advection_hat(np.fft.rfft(f.values, axis=2), f.grid, params))
+           _advection_hat(mixed, f.grid, params))
     return inverse(diffusion + advection, f.grid)
 
 

@@ -42,7 +42,8 @@ def spectral_tail(f, fraction=0.25):
         | (kx[None, :, None] > fraction * n)
         | (kt[None, None, :] > fraction * nt)
     )
-    total = float(energy.sum()) - float(energy[0, 0, 0])
+    energy[0, 0, 0] = 0.0
+    total = float(energy.sum())
     if total <= 1e-300:
         return 0.0
     return float(energy[tail].sum()) / total

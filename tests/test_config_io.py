@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from activeflow import cli
 from activeflow.cli import cmd_simulate, main
 from activeflow.config import load_config, parse_config
+from activeflow.diagnostics import _spectral_grads as spectral_grads
 from activeflow.dynamics import run
 from activeflow.errors import ParseError, ValidationError
 from activeflow.grid import Params, make_grid, make_initial
@@ -343,6 +344,37 @@ class TestSimulateCommand:
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "NumericalBlowup"
         assert not (tmp_path / "stale" / "summary.json").exists()
 
+    def test_blowup_rerun_leaves_no_stale_snapshots(self, tmp_path, capsys):
+        # config A writes snapshots 0, 5 and 10; B blows up at step 1 in the
+        # same output_dir, after its fresh start removed A's snapshots and
+        # a left-over tmp file, but no file of another name
+        out = tmp_path / "stale"
+        done = base_doc(output_dir=str(out), grid={"n_x": 8, "n_theta": 8}, t_end=0.1,
+                        snapshot_stride=5)
+        assert main(["simulate", "--config", write_config(tmp_path, done)]) == 0
+        (out / "snap_00000007.bin.tmp").write_bytes(b"partial")
+        (out / "snap_notes.txt").write_text("kept")
+        blowup = dict(done, params={"pe": 500.0, "de": 1.0, "dt": 0.5})
+        with pytest.warns(RuntimeWarning):
+            rc = main(["simulate", "--config", write_config(tmp_path, blowup, "b.json")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "NumericalBlowup"
+        assert sorted(path.name for path in out.iterdir()) == [
+            "diagnostics.csv", "snap_00000000.bin", "snap_notes.txt"]
+        _, header = read_snapshot(str(out / "snap_00000000.bin"))
+        assert header["params"]["pe"] == 500.0
+
+    def test_refused_checkpoint_leaves_the_snapshots(self, tmp_path, capsys):
+        # the removal comes after the checkpoint check: a refused resume
+        # leaves the previous run's files as they were
+        doc = window_doc(str(tmp_path / "keep"))
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+        before = output_files(doc["output_dir"])
+        other = dict(doc, params={"pe": 0.2, "de": 1.0, "dt": 0.01})
+        assert main(["simulate", "--config", write_config(tmp_path, other, "b.json")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "CheckpointMismatch"
+        assert output_files(doc["output_dir"]) == before
+
     @pytest.mark.parametrize("resumed", [False, True])
     def test_failed_summary_write_leaves_old_file_or_none(
         self, tmp_path, monkeypatch, capsys, resumed
@@ -531,6 +563,33 @@ class TestSimulateCommand:
         assert all(e >= 0.0 for e in trunc["energies"])
         # field max is far below the first positive level: upper rungs vanish
         assert trunc["energies"][-1] == 0.0
+
+    @pytest.mark.parametrize("crossing", [False, True])
+    def test_gradients_synthesized_only_where_a_level_cuts(
+        self, tmp_path, monkeypatch, crossing
+    ):
+        # desk data (f near 0.004) never reach C_1 = 1/4, so the ladder reads
+        # only the carried spectrum; the crossing data (max f 0.27 to 0.30)
+        # are cut by C_1 at every in-window snapshot that holds it
+        window = {"window": [0.0, 0.2], "k_max": 3}  # C_1 held from t = 0.05
+        doc = base_doc(output_dir=str(tmp_path / "cut"), t_end=0.2, snapshot_stride=1,
+                       diagnostics={"k_max": 4, "truncation": window})
+        if crossing:
+            doc.update(grid={"n_x": 8, "n_theta": 8},
+                       params={"pe": 0.3, "de": 1.0, "dt": 0.01},
+                       initial={"kind": "single_mode", "m": 39.0, "epsilon": 0.9,
+                                "mode": [0, 0, 1]})
+        calls = []
+        monkeypatch.setattr(cli.diag, "_spectral_grads",
+                            lambda *a: calls.append(1) or spectral_grads(*a))
+        assert cmd_simulate(parse_config(doc)) == 0
+        rows = read_csv(str(tmp_path / "cut" / "diagnostics.csv"))
+        holding = [r for r in rows if r["t"] >= 0.05 - 1e-12]
+        cut = [r for r in holding if r["linf"] > 0.25]
+        assert len(calls) == len(cut) == (len(holding) if crossing else 0)
+        energies = json.loads((tmp_path / "cut" / "summary.json").read_text())[
+            "truncation"]["energies"]
+        assert (energies[1] > 0.0) == crossing and energies[2:] == [0.0, 0.0]
 
     def test_truncation_summary_without_snapshots(self, tmp_path):
         # the run ends before the window opens, so no snapshot falls inside it

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from activeflow import diagnostics
 from activeflow import (
     ConstantData,
     Field3,
@@ -158,6 +159,14 @@ class TestSpectralTail:
     def test_high_mode_is_one(self, grid32):
         f = field_from(grid32, lambda x1, x2, th: 1.0 + np.cos(9 * x1))
         assert record(f).spectral_tail == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-7, 1e-8])
+    def test_small_high_mode_on_a_constant_is_one(self, grid16, delta):
+        # the constant mode's energy is zeroed, not subtracted from the sum,
+        # where it cancels the tail's to noise (0.0 at delta 1e-8 if it were)
+        f = field_from(grid16, lambda x1, x2, th: 1.0 + delta * np.cos(7 * x1))
+        assert record(f).spectral_tail == pytest.approx(1.0, rel=1e-12)
+        assert spectral_tail(f) == record(f).spectral_tail
 
 
 class TestParabolicNorm:
@@ -363,6 +372,59 @@ class TestTruncationReducer:
         empty = constant_trajectory(grid8, 0.4, [])
         with pytest.raises(WindowTooShort, match="trajectory holds no snapshots"):
             truncation_energy(empty, (0.1, 0.4), 2)
+
+
+class TestTruncationLevelKinds:
+    """add classes each held level by the snapshot's range. A snapshot given
+    as a half spectrum takes a whole-grid level's gradient term by Parseval
+    and synthesizes gradients only for a level that cuts the field; every
+    other number is the eager gradients' bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_x=st.integers(2, 8).map(lambda k: 2 * k),
+        n_theta=st.integers(2, 10).map(lambda k: 2 * k),
+        lo=st.floats(0.01, 0.45),
+        span=st.floats(0.02, 0.6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_x=8, n_theta=8, lo=0.2, span=0.3, seed=0)  # C_0 whole, C_1..C_6 partial
+    @example(n_x=16, n_theta=6, lo=0.3, span=0.1, seed=1)  # C_0, C_1 whole, C_2 partial
+    def test_spectrum_snapshots_match_eager_gradients(self, n_x, n_theta, lo, span, seed):
+        grid = make_grid(n_x, n_theta)
+        rng = np.random.default_rng(seed)
+        eager, spectral = (TruncationReducer((0.0, 1.0), 6, grid.cell_volume)
+                           for _ in range(2))
+        for t in np.linspace(0.0, 1.0, 6):
+            values = lo + span * rng.random(grid.shape)
+            coeffs = forward(Field3(grid=grid, values=values))
+            eager.add(t, values, _spectral_grads(coeffs, grid))
+            spectral.add(t, values, coeffs=coeffs, grid=grid)
+            assert spectral.sup == eager.sup
+            for c_k, want, got in zip(eager.levels, eager.pending, spectral.pending):
+                if want is None:  # not held yet
+                    assert got is None
+                elif c_k >= values.max():
+                    assert want == got == 0.0
+                elif c_k < values.min():
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+                else:
+                    assert got == want
+
+    def test_gradients_only_for_a_cutting_level(self, grid8, monkeypatch):
+        calls = []
+        monkeypatch.setattr(diagnostics, "_spectral_grads",
+                            lambda *a: calls.append(1) or _spectral_grads(*a))
+        ladder = TruncationReducer((0.0, 1.0), 3, grid8.cell_volume)
+        for t, (lo, hi) in zip((0.0, 0.5, 0.75, 1.0), [(0.1, 0.2), (0.1, 0.2),
+                                                        (0.3, 0.35), (0.2, 0.3)]):
+            values = np.linspace(lo, hi, math.prod(grid8.shape)).reshape(grid8.shape)
+            ladder.add(t, values, coeffs=forward(Field3(grid=grid8, values=values)),
+                       grid=grid8)
+        # every level is held from t = 0.5 on; C_1 = 1/4 lies above the field
+        # there, below it at 0.75 (C_2 = 3/8 above), and only at t = 1 inside
+        assert len(calls) == 1
+        assert ladder.sup[2] == 0.0 and ladder.pending[1] > 0.0
 
 
 class TestMomentResidual:

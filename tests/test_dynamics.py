@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from activeflow.errors import (
 )
 from activeflow.oracle import OracleConfig, exact_linear_solution, fd_rhs, fd_run
 from activeflow import dynamics, spectral
-from activeflow.spectral import _cache, forward, synthesize, x_inverse
+from activeflow.spectral import _cache, forward, inverse, synthesize, x_inverse
 from advection_reference import (
     dealias_mask,
     embed,
@@ -203,10 +204,20 @@ class TestTransformCount:
         assert calls["rfftn"] == 1
         assert _passes(calls) == (1 + 4 + 9 * 5 - 2, 1 + 5)
 
-    def test_rhs_makes_seven(self, desk, monkeypatch):
-        # forward (1), rfft along theta and the band x forward (3), inverse (3)
+    def test_rhs_makes_eight_two_along_theta(self, desk, monkeypatch):
+        # one rfft along theta for both terms (1), its x transforms for the
+        # diffusion (2), the band x forward (2), inverse (3)
         f, params = desk
-        assert _passes(_count_ffts(monkeypatch, lambda: rhs(f, params))) == (7, 3)
+        assert _passes(_count_ffts(monkeypatch, lambda: rhs(f, params))) == (8, 2)
+
+    def test_rhs_diffusion_spectrum_is_the_forward_transform(self, desk):
+        # at Pe = 0 rhs is the diffusion alone: its spectrum, derived from the
+        # rfft along theta, must be forward(f)'s bits times the symbol
+        f, params = desk
+        c = _cache(f.grid.n_x, f.grid.n_theta)
+        want = inverse(-(params.de * c["kx_sq"] + c["k3"] ** 2) * forward(f), f.grid)
+        got = rhs(f, dataclasses.replace(params, pe=0.0))
+        assert np.array_equal(got.values, want.values)
 
 
 class TestMarchResume:

@@ -1,10 +1,11 @@
 """Every function in src/activeflow is reached by a command.
 
 The five subcommands run in-process on 8^3 configs under sys.setprofile: a
-fresh simulate, a resume of it at its final step, a blowup and a bad config,
-then verify, decay, stationary and oracle-compare. Functions are keyed on
-their code object's file and first line. One that no run reaches is dead
-code: delete it, or reach it from a command.
+fresh simulate, a resume of it at its final step, a run whose field crosses
+a truncation level, a blowup and a bad config, then verify, decay,
+stationary and oracle-compare. Functions are keyed on their code object's
+file and first line. One that no run reaches is dead code: delete it, or
+reach it from a command.
 """
 
 import contextlib
@@ -65,6 +66,9 @@ def run_commands(tmp_path):
     return [
         ("simulate", sim, 0),
         ("simulate", sim, 0),  # resumes from the checkpoint at the final step
+        # max f above C_1 = 1/4: the ladder synthesizes gradients for that cut
+        ("simulate", doc(str(tmp_path / "cross"), initial=dict(
+            desk_mode, m=39.0, epsilon=0.9, mode=[0, 0, 1])), 0),
         ("simulate", doc(str(tmp_path / "blowup"), t_end=50.0,
                          params={"pe": 80.0, "de": 0.01, "dt": 5.0},
                          initial=dict(desk_mode, epsilon=0.9)), 2),
