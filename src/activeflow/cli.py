@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .config import RunConfig, load_config
-from .dynamics import cfl_dt, march
+from .dynamics import cfl_dt, march, states, step_count
 from .equilibrium import (
     kappa,
     peclet_threshold,
@@ -37,7 +37,7 @@ from .errors import (
     WindowTooShort,
 )
 from .grid import Field3, make_initial
-from .spectral import forward, poincare_constant, synthesize
+from .spectral import poincare_constant, synthesize
 from .storage import (
     SnapshotWriter,
     csv_header,
@@ -66,17 +66,18 @@ def _emit_error(kind: str, message: str, **extra) -> None:
 def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     """Run a simulation, streaming diagnostics and snapshots to output_dir.
 
-    Consumes dynamics.march: every step appends one diagnostics.csv row, and
-    strided steps write a snapshot and feed the truncation-ladder reducer.
-    The CSV is flushed before each checkpoint. A checkpoint in output_dir
-    resumes the run from its spectrum and ladder state, byte-identically; one
-    of another format or config is refused, and so (ParseError, file left as
-    it is) is a diagnostics.csv without the header or a row up to its step.
-    summary.json is written last, through a moved tmp file, and a fresh (not
-    resumed) start removes the previous one and every snap_*.bin(.tmp), so
-    each output is this run's and the summary whole or absent. The stop_after_steps
-    hook halts after writing a checkpoint at that step; it exists for
-    interruption/resume testing and is not exposed on the CLI.
+    A fresh run iterates dynamics.states, a resume continues dynamics.march
+    from the checkpoint's spectrum and ladder state, byte-identically. One
+    body serves every step, step 0 included: a diagnostics.csv row, and at
+    strided steps a snapshot, fed to the truncation-ladder reducer. The CSV
+    is flushed before each checkpoint, and checkpoints come after step 0. A
+    checkpoint of another format or config is refused, and so (ParseError,
+    file left as it is) is a diagnostics.csv without the header or a row up
+    to its step. summary.json is written last, through a moved tmp file, and
+    a fresh start removes the previous one and every snap_*.bin(.tmp), so
+    each output is this run's and the summary whole or absent. The
+    stop_after_steps hook halts after a checkpoint at that step; it exists
+    for interruption/resume testing and is not exposed on the CLI.
     """
     grid, params = config.grid, config.params
     os.makedirs(config.output_dir, exist_ok=True)
@@ -85,9 +86,7 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
 
     f0 = make_initial(config.initial, grid)
     mean0 = f0.mean()
-    n_steps = (
-        int(math.ceil(config.t_end / params.dt - 1e-9)) if config.t_end > 0 else 0
-    )
+    n_steps = step_count(config.t_end, params.dt)
 
     resume = load_checkpoint(config.output_dir, config.config_hash)
     if resume is not None:
@@ -107,59 +106,50 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     )
     writer = SnapshotWriter()
 
-    def write_row(f: Field3, coeffs, t: float) -> float:
-        k_max, tail = config.k_max, config.tail_fraction
-        record = diag.compute_record(f, coeffs, t, mean0, k_max, tail)
-        csv_fh.write(csv_row(record) + "\n")
-        return record.l2_to_const
-
-    def snap_path(step: int) -> str:
-        return os.path.join(config.output_dir, f"snap_{step:08d}.bin")
-
-    def snapshot(step: int, f: Field3, coeffs) -> None:
-        t = step * params.dt
-        writer.submit(snap_path(step), f, t, step, params)
-        if ladder is not None and ladder.covers(t):
-            ladder.add(t, f.values, coeffs=coeffs, grid=grid)
-
     try:
-        f = None  # stays None on a final-step resume: no step is left to take
         if resume is None:
-            f, coeffs = f0, forward(f0)
-            final_l2 = write_row(f0, coeffs, 0.0)
-            snapshot(0, f0, coeffs)
+            steps = states(f0, params, n_steps)
         elif start_step < n_steps:
             f = Field3(grid=grid, values=synthesize(coeffs, grid))
-        steps = () if f is None else march(f, params, n_steps, start_step, coeffs)
+            steps = march(f, params, n_steps, start_step, coeffs)
+        else:  # a final-step resume: no step is left to take
+            steps = ()
         for step, coeffs, f in steps:
             t = step * params.dt
-            final_l2 = write_row(f, coeffs, t)
+            record = diag.compute_record(
+                f, coeffs, t, mean0, config.k_max, config.tail_fraction
+            )
+            csv_fh.write(csv_row(record) + "\n")
+            final_l2 = record.l2_to_const
             if step % config.snapshot_stride == 0 or step == n_steps:
-                snapshot(step, f, coeffs)
+                snap_path = os.path.join(config.output_dir, f"snap_{step:08d}.bin")
+                writer.submit(snap_path, f, t, step, params)
+                if ladder is not None:
+                    ladder.add(t, f.values, coeffs=coeffs, grid=grid)
             at_checkpoint = (
                 config.checkpoint_every > 0 and step % config.checkpoint_every == 0
             )
-            if at_checkpoint or step == stop_after_steps:
+            if step > 0 and (at_checkpoint or step == stop_after_steps):
                 csv_fh.flush()
                 write_checkpoint(
                     config.output_dir, coeffs, grid, t, step, params,
                     config.config_hash, None if ladder is None else ladder.state(),
                 )
-            if step == stop_after_steps:
-                return 0
+                if step == stop_after_steps:
+                    return 0
     finally:
         csv_fh.close()
         writer.close()
 
     c_p = poincare_constant(grid)
-    m = mean0
+    threshold = peclet_threshold(params, mean0, c_p)
     summary = {
         "t_final": n_steps * params.dt,
         "steps": n_steps,
-        "mass": m,
-        "kappa": kappa(params, m, c_p),
-        "peclet_threshold": peclet_threshold(params, m, c_p),
-        "is_small_pe": abs(params.pe) < peclet_threshold(params, m, c_p),
+        "mass": mean0,
+        "kappa": kappa(params, mean0, c_p),
+        "peclet_threshold": threshold,
+        "is_small_pe": abs(params.pe) < threshold,
         "final_l2_to_const": final_l2,
         "cfl_dt_initial": cfl_dt(f0, params),
     }

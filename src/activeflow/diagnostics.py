@@ -225,17 +225,18 @@ class TruncationReducer:
             self.pending[k] = total
 
     def finish(self, require_span: bool = True) -> TruncationLadder:
-        """The ladder; with require_span the times added must cover the window."""
+        """The ladder of k_max + 1 or more in-window snapshots; with require_span
+        the times added must also span the window."""
         t_a, t_b = self.window
         if require_span and self.first is None:
             raise WindowTooShort("trajectory holds no snapshots")
-        if require_span and not (self.first - 1e-12 <= t_a < t_b <= self.last + 1e-12):
-            raise ValueError(
-                f"window {self.window} outside trajectory span [{self.first}, {self.last}]"
-            )
         if self.count < self.k_max + 1:
             raise WindowTooShort(
                 f"need at least {self.k_max + 1} snapshots in window, found {self.count}"
+            )
+        if require_span and not (self.first - 1e-12 <= t_a < t_b <= self.last + 1e-12):
+            raise ValueError(
+                f"window {self.window} outside trajectory span [{self.first}, {self.last}]"
             )
         energies = tuple(s + g for s, g in zip(self.sup, self.grad))
         return TruncationLadder(

@@ -6,8 +6,10 @@ midpoint rule. The advection is in divergence form, so its zero mode vanishes
 identically and the stepper conserves mass to machine precision.
 
 march is the one stepping core: it carries the half-spectrum state from step
-to step and owns the CFL warning and the blowup checks. run, step_imex, the
-simulate command and the stationary solver all consume it.
+to step and owns the CFL warning and the blowup checks. states puts step 0
+in front of it and step_count gives the number of steps to a time, so run,
+the simulate command and the stationary solver share one trajectory loop; a
+resumed simulate continues with march alone, and step_imex is its first step.
 
 The advection works in mixed space, physical in x and half-spectral in
 theta: (1 - rho) does not depend on theta, so it multiplies the angle modes
@@ -160,6 +162,13 @@ def _step_spectral(coeffs: np.ndarray, k1: np.ndarray, grid: GridSpec,
 _CFL_WARNING = "time step exceeds the advective CFL bound"
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """The number of steps of size dt that reach t_end: ceil(t_end/dt - 1e-9),
+    so a t_end that is a multiple of dt up to rounding takes that many, and 0
+    for t_end <= 0. The final time n dt lies within dt of t_end."""
+    return int(math.ceil(t_end / dt - 1e-9)) if t_end > 0 else 0
+
+
 def march(
     f: Field3, params: Params, n_steps: int, start_step: int = 0, coeffs=None
 ) -> Iterator[tuple[int, np.ndarray, Field3]]:
@@ -167,11 +176,12 @@ def march(
 
     f is the field at start_step and coeffs its half spectrum (forward(f) when
     not given; every step derives from coeffs alone); the run ends after step
-    n_steps. Warns once (without rejecting) when dt exceeds the CFL bound of
-    f, and raises NumericalBlowup on non-finite output or >10x sup-norm growth
-    in one step. Each yielded field adopts the theta inverse's array
-    (read-only, not copied); of its mixed-space array only the next stage-1
-    band block outlives the yield.
+    n_steps, and a march with start_step >= n_steps yields nothing. Warns once
+    (without rejecting) when dt exceeds the CFL bound of f, and raises
+    NumericalBlowup on non-finite output or >10x sup-norm growth in one step.
+    Each yielded field adopts the theta inverse's array (read-only, not
+    copied); of its mixed-space array only the next stage-1 band block
+    outlives the yield.
     """
     if params.dt > cfl_dt(f, params):
         warnings.warn(_CFL_WARNING, RuntimeWarning, stacklevel=2)
@@ -195,24 +205,31 @@ def march(
         yield step, coeffs, f
 
 
+def states(
+    f0: Field3, params: Params, n_steps: int
+) -> Iterator[tuple[int, np.ndarray, Field3]]:
+    """A trajectory from its initial datum: yield (0, forward(f0), f0), then
+    march's (step, coeffs, field) for steps 1..n_steps from that spectrum."""
+    coeffs = forward(f0)
+    yield 0, coeffs, f0
+    steps = march(f0, params, n_steps, coeffs=coeffs)
+    del coeffs  # march drops the step-0 spectrum once it has stepped past it
+    yield from steps
+
+
 def step_imex(f: Field3, params: Params) -> Field3:
     """Advance one step of size params.dt: the first step of march(f, ...)."""
     _, _, f_next = next(march(f, params, 1))
     return f_next
 
 
-def run(
-    f0: Field3,
-    params: Params,
-    t_end: float,
-    snapshot_stride: int = 10,
-    diagnostics_k_max: int = 6,
-) -> Trajectory:
+def run(f0: Field3, params: Params, t_end: float, snapshot_stride: int = 10) -> Trajectory:
     """Integrate from admissible initial data to (just past) t_end.
 
-    Appends one DiagnosticsRecord per step and a snapshot every
-    snapshot_stride steps (plus the final step). The number of steps is
-    ceil(t_end / dt), so the final time lies within dt of t_end.
+    Iterates states over step_count(t_end, dt) steps, so the final time lies
+    within dt of t_end. Appends one DiagnosticsRecord (its L^(2^k) ladder to
+    k = 6) per step, step 0 included, and a snapshot every snapshot_stride
+    steps, step 0 and the final step included.
     """
     report = check_admissible(f0)
     if not report.ok:
@@ -226,15 +243,11 @@ def run(
         raise ValueError("t_end must be >= 0")
 
     mean0 = f0.mean()
-    n_steps = int(math.ceil(t_end / params.dt - 1e-9)) if t_end > 0 else 0
-
-    coeffs = forward(f0)
-    records = [diag.compute_record(f0, coeffs, 0.0, mean0, diagnostics_k_max)]
-    times = [0.0]
-    snapshots = [f0]
-    for step, coeffs, f in march(f0, params, n_steps, coeffs=coeffs):
+    n_steps = step_count(t_end, params.dt)
+    records, times, snapshots = [], [], []
+    for step, coeffs, f in states(f0, params, n_steps):
         t = step * params.dt
-        records.append(diag.compute_record(f, coeffs, t, mean0, diagnostics_k_max))
+        records.append(diag.compute_record(f, coeffs, t, mean0))
         if step % snapshot_stride == 0 or step == n_steps:
             times.append(t)
             snapshots.append(f)

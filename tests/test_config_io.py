@@ -7,15 +7,17 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from activeflow import cli
+from activeflow import cli, dynamics
 from activeflow.cli import cmd_simulate, main
 from activeflow.config import load_config, parse_config
 from activeflow.diagnostics import _spectral_grads as spectral_grads
-from activeflow.dynamics import run
-from activeflow.errors import ParseError, ValidationError
+from activeflow.diagnostics import truncation_energy
+from activeflow.dynamics import run, step_count
+from activeflow.equilibrium import solve_stationary
+from activeflow.errors import NotConverged, ParseError, ValidationError
 from activeflow.grid import Params, make_grid, make_initial
 from activeflow.storage import (
     CHECKPOINT_NAME,
@@ -235,7 +237,7 @@ class TestSimulateCommand:
         cfg = parse_config(base_doc(output_dir=str(tmp_path / "r"), t_end=0.2))
         assert cmd_simulate(cfg) == 0
         f0 = make_initial(cfg.initial, cfg.grid)
-        traj = run(f0, cfg.params, cfg.t_end, diagnostics_k_max=cfg.k_max)
+        traj = run(f0, cfg.params, cfg.t_end)
         lines = [csv_header(cfg.k_max)] + [csv_row(r) for r in traj.diagnostics]
         expected = ("\n".join(lines) + "\n").encode()
         assert (tmp_path / "r" / "diagnostics.csv").read_bytes() == expected
@@ -602,6 +604,31 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "tr0" / "summary.json").read_text())
         assert summary["truncation"]["error"].startswith("WindowTooShort")
 
+    def test_ladder_equals_the_library_on_the_same_trajectory(self, tmp_path):
+        # the window ends fall between stride-3 snapshots (0.09 and 0.12, 0.39
+        # and 0.42); like truncation_energy, simulate judges the window against
+        # the run's span [0, 0.5] and reduces only the snapshots inside it
+        doc = base_doc(
+            output_dir=str(tmp_path / "lib"),
+            grid={"n_x": 8, "n_theta": 8},
+            params={"pe": 0.3, "de": 1.0, "dt": 0.01},
+            initial={"kind": "random_bandlimited", "m": 1.0, "epsilon": 0.3,
+                     "max_mode": 2, "seed": 4},
+            t_end=0.5,
+            snapshot_stride=3,
+            diagnostics={"truncation": {"window": [0.1, 0.4], "k_max": 2}},
+        )
+        cfg = parse_config(doc)
+        assert cmd_simulate(cfg) == 0
+        got = json.loads((tmp_path / "lib" / "summary.json").read_text())["truncation"]
+        f0 = make_initial(cfg.initial, cfg.grid)
+        want = truncation_energy(run(f0, cfg.params, cfg.t_end, snapshot_stride=3),
+                                 (0.1, 0.4), 2)
+        assert want.energies[0] > 0.0
+        assert (got["levels"], got["window_times"], got["energies"]) == (
+            list(want.levels), list(want.window_times), list(want.energies)
+        )
+
     def test_tail_threshold_configurable(self, tmp_path):
         # a mode-2 perturbation on a 16-grid: beyond the n/8 threshold but
         # inside the default n/4 one
@@ -666,6 +693,39 @@ class TestReportCommands:
         assert rc == 0
         assert out["pass"] is True
         assert all(o >= 1.8 for o in out["orders"])
+
+
+class TestStepCount:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 50), dt=st.sampled_from([0.1, 0.01, 0.025, 0.3]))
+    @example(n=3, dt=0.1)  # 3 * 0.1 / 0.1 is 3.0000000000000004
+    def test_run_simulate_and_stationary_take_the_same_steps(self, n, dt):
+        t_end = n * dt
+        assert step_count(t_end, dt) == n
+        calls = []
+        step = dynamics._step_spectral
+
+        def steps_taken(fn):
+            calls.clear()
+            fn()
+            return len(calls)
+
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(dynamics, "_step_spectral", lambda *a: calls.append(1) or step(*a))
+            cfg = parse_config(base_doc(
+                output_dir=tmp, grid={"n_x": 8, "n_theta": 8},
+                params={"pe": 0.05, "de": 1.0, "dt": dt}, t_end=t_end,
+            ))
+            f0 = make_initial(cfg.initial, cfg.grid)
+            assert steps_taken(lambda: run(f0, cfg.params, t_end)) == n
+            assert steps_taken(lambda: cmd_simulate(cfg)) == n
+            assert len(read_csv(os.path.join(tmp, "diagnostics.csv"))) == n + 1
+
+            def unreachable_tolerance():
+                with pytest.raises(NotConverged):
+                    solve_stationary(f0, cfg.params, tol=0.0, t_max=t_end)
+
+            assert steps_taken(unreachable_tolerance) == n
 
 
 @pytest.mark.slow
