@@ -72,7 +72,8 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     strided steps a snapshot, fed to the truncation-ladder reducer. The CSV
     is flushed before each checkpoint, and checkpoints come after step 0. A
     checkpoint of another format or config is refused, and so (ParseError,
-    file left as it is) is a diagnostics.csv without the header or a row up
+    every file left as it is) are a header step or ladder state that does
+    not fit the config and a diagnostics.csv without the header or a row up
     to its step. summary.json is written last, through a moved tmp file, and
     a fresh start removes the previous one and every snap_*.bin(.tmp), so
     each output is this run's and the summary whole or absent. The
@@ -89,21 +90,23 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     n_steps = step_count(config.t_end, params.dt)
 
     resume = load_checkpoint(config.output_dir, config.config_hash)
-    if resume is not None:
-        coeffs, _, start_step, ladder_state = resume
+    coeffs, start_step, ladder_state = resume or (None, 0, None)
+    if resume is not None and (ladder_state is None) != (config.truncation_window is None):
+        raise ParseError("checkpoint truncation state must be null exactly when "
+                         "the config has no truncation window")
+    ladder = None if config.truncation_window is None else diag.TruncationReducer(
+        config.truncation_window, config.truncation_k_max, grid.cell_volume,
+        ladder_state,
+    )
+    if resume is not None:  # the checks above come first: a refused resume edits no file
         final_l2 = _cut_csv(csv_path, config.k_max, start_step)
         csv_fh = open(csv_path, "a", encoding="utf-8")
     else:
-        start_step, ladder_state = 0, None
         for name in os.listdir(config.output_dir):  # the previous run's outputs
             if name == "summary.json" or re.fullmatch(r"snap_.*\.bin(\.tmp)?", name):
                 os.remove(os.path.join(config.output_dir, name))
         csv_fh = open(csv_path, "w", encoding="utf-8")
         csv_fh.write(csv_header(config.k_max) + "\n")
-    ladder = None if config.truncation_window is None else diag.TruncationReducer(
-        config.truncation_window, config.truncation_k_max, grid.cell_volume,
-        ladder_state,
-    )
     writer = SnapshotWriter()
 
     try:

@@ -57,6 +57,12 @@ def lp_ladder(f: Field3, k_max: int) -> list[float]:
     return out
 
 
+def l2_to_const(f: Field3, m: float) -> float:
+    """L2 distance from f to the constant state m, the conserved mean."""
+    dev = f.values - m
+    return math.sqrt(float(np.multiply(dev, dev, out=dev).sum()) * f.grid.cell_volume)
+
+
 @lru_cache(maxsize=32)
 def _tail_mask(n: int, nt: int, fraction: float) -> np.ndarray:
     """Half-spectrum modes beyond fraction * n on some axis."""
@@ -85,9 +91,6 @@ def compute_record(
     """
     c = _cache(f.grid.n_x, f.grid.n_theta)
     rho = f.rho
-    dv = f.grid.cell_volume
-    dev = f.values - mean0
-    l2c = math.sqrt(float(np.multiply(dev, dev, out=dev).sum()) * dv)
     abs_sq = np.abs(coeffs) ** 2
     weight = TWO_PI**3 * c["mult"]
     energy = weight * abs_sq
@@ -99,7 +102,7 @@ def compute_record(
     return DiagnosticsRecord(
         t=t,
         mass=f.mean(),
-        l2_to_const=l2c,
+        l2_to_const=l2_to_const(f, mean0),
         linf=f.linf,
         rho_min=float(rho.min()),
         rho_max=float(rho.max()),
@@ -152,7 +155,8 @@ class TruncationReducer:
     kept: the first and last time added, the in-window count and, per level,
     the sup of the truncated L2 energy, the left-endpoint time integral of the
     masked gradient energy, and the last snapshot's masked gradient energy,
-    which waits for the next dt. state() is JSON-ready and resumes via `state`.
+    which waits for the next dt. state() is JSON-ready and resumes via `state`,
+    which must hold its six keys as JSON loads them, else ParseError.
 
     As grad (f - C_k)_+ = 1{f > C_k} grad f, add classes the held levels by
     the snapshot's range: one at or above max f adds 0.0 with no array work,
@@ -168,10 +172,10 @@ class TruncationReducer:
             t_a + (-0.5 * (1.0 + 2.0**-k) + 1.0) * (t_b - t_a) for k in range(k_max + 1)
         ]
         n = k_max + 1
-        s = state or dict(count=0, first=None, last=None,
-                          sup=[0.0] * n, grad=[0.0] * n, pending=[None] * n)
-        if any(len(s[key]) != n for key in ("sup", "grad", "pending")):
-            raise ParseError(f"truncation state does not hold {n} levels")
+        s = state if state is not None else dict(
+            count=0, first=None, last=None, sup=[0.0] * n, grad=[0.0] * n, pending=[None] * n)
+        if not _is_state(s, n):
+            raise ParseError(f"truncation state is not a ladder state of {n} levels")
         self.count, self.first, self.last = s["count"], s["first"], s["last"]
         self.sup, self.grad, self.pending = s["sup"][:], s["grad"][:], s["pending"][:]
 
@@ -242,6 +246,21 @@ class TruncationReducer:
         return TruncationLadder(
             self.k_max, tuple(self.levels), tuple(self.window_times), energies
         )
+
+
+def _is_state(s, n: int) -> bool:
+    """Whether s is a state() of n levels as JSON loads it: a count >= 0, first
+    and last numbers or null, n numbers in sup and grad, n numbers or nulls in
+    pending. No bool counts as a number."""
+    def numbers(xs, null=False):
+        return all(type(x) in (int, float) or (null and x is None) for x in xs)
+
+    levels = ("sup", "grad", "pending")
+    return (type(s) is dict and set(s) == {"count", "first", "last", *levels}
+            and type(s["count"]) is int and s["count"] >= 0
+            and numbers((s["first"], s["last"]), null=True)
+            and all(type(s[k]) is list and len(s[k]) == n for k in levels)
+            and numbers(s["sup"] + s["grad"]) and numbers(s["pending"], null=True))
 
 
 def _spectral_grads(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, ...]:

@@ -53,8 +53,9 @@ def _header(grid: GridSpec, time: float, step: int, params: Params, **extra) -> 
     }
 
 
-def _write_file(path: str, header: dict, payload: bytes) -> None:
-    """Write through path + ".tmp" and os.replace: path is whole or absent."""
+def _write_file(path: str, header: dict, payload: np.ndarray) -> None:
+    """Write through path + ".tmp" and os.replace: path is whole or absent.
+    payload is a C-contiguous array, written from its own buffer."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode())
@@ -78,7 +79,7 @@ def _read_file(path: str) -> tuple[dict, bytes]:
 
 def write_snapshot(path: str, f: Field3, time: float, step: int, params: Params) -> None:
     header = _header(f.grid, time, step, params)
-    _write_file(path, header, np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+    _write_file(path, header, np.ascontiguousarray(f.values, dtype="<f8"))
 
 
 def read_snapshot(path: str) -> tuple[Field3, dict]:
@@ -129,7 +130,7 @@ CHECKPOINT_NAME = "checkpoint.bin"
 def write_checkpoint(out_dir: str, coeffs: np.ndarray, grid: GridSpec, time: float,
                      step: int, params: Params, config_hash: str, truncation=None) -> None:
     """Write the carried half spectrum and ladder state, atomically."""
-    payload = np.ascontiguousarray(coeffs, dtype="<c16").tobytes()
+    payload = np.ascontiguousarray(coeffs, dtype="<c16")
     header = _header(
         grid, time, step, params, format_version=CHECKPOINT_FORMAT,
         element_type="complex128", layout="row-major i1,i2,ktheta mean-normalized",
@@ -140,9 +141,11 @@ def write_checkpoint(out_dir: str, coeffs: np.ndarray, grid: GridSpec, time: flo
 
 
 def load_checkpoint(out_dir: str, config_hash: str):
-    """Return (half spectrum, time, step, truncation state) or None.
+    """Return (half spectrum, step, truncation state) or None.
 
-    CheckpointMismatch for another format or config; ParseError if corrupt.
+    CheckpointMismatch for another format or config; ParseError if corrupt,
+    or if step is not a JSON integer >= 0. The truncation state is checked
+    against the config by its consumer, diagnostics.TruncationReducer.
     """
     path = os.path.join(out_dir, CHECKPOINT_NAME)
     if not os.path.exists(path):
@@ -160,10 +163,12 @@ def load_checkpoint(out_dir: str, config_hash: str):
         )
     try:
         grid = GridSpec(header["n_x"], header["n_theta"])
-        time, step = float(header["time"]), int(header["step"])
-        crc, truncation = header["payload_crc32"], header["truncation"]
+        step, crc = header["step"], header["payload_crc32"]
+        truncation = header["truncation"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed checkpoint header ({exc!r})") from exc
+    if type(step) is not int or step < 0:  # a JSON bool loads as bool, not int
+        raise ParseError(f"{path}: step {step!r} is not an integer >= 0")
     shape = (grid.n_x, grid.n_x, grid.n_theta // 2 + 1)
     expected = 16 * shape[0] * shape[1] * shape[2]
     if len(payload) != expected:
@@ -171,7 +176,7 @@ def load_checkpoint(out_dir: str, config_hash: str):
     if zlib.crc32(payload) != crc:
         raise ParseError(f"{path}: payload checksum does not match its header")
     coeffs = np.frombuffer(payload, dtype="<c16").reshape(shape)
-    return coeffs, time, step, truncation
+    return coeffs, step, truncation
 
 
 # --- diagnostics CSV --------------------------------------------------------------

@@ -72,6 +72,16 @@ def window_doc(out_dir, **overrides):
     return doc
 
 
+def header_edit(**fields):
+    """A checkpoint damage that sets header fields and keeps the payload."""
+    def edited(data):
+        line, payload = data.split(b"\n", 1)
+        header = dict(json.loads(line), **fields)
+        return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+
+    return edited
+
+
 @functools.lru_cache(maxsize=1)
 def uninterrupted_window_run():
     with tempfile.TemporaryDirectory() as tmp:
@@ -415,14 +425,56 @@ class TestSimulateCommand:
         assert err["error"]["kind"] == "ParseError"
         assert csv_path.read_text() == ""
 
-    def _damaged_checkpoint(self, tmp_path, capsys, damage):
-        """Exit code and error kind of a resume from a damaged checkpoint."""
-        doc = window_doc(str(tmp_path / "dmg"))
+    def _damaged_checkpoint(self, tmp_path, capsys, damage, **overrides):
+        """Exit code and error kind of a resume from a damaged checkpoint,
+        which leaves every other file in output_dir as it was."""
+        doc = window_doc(str(tmp_path / "dmg"), **overrides)
         assert cmd_simulate(parse_config(doc), stop_after_steps=7) == 0
+        before = output_files(doc["output_dir"])
         path = tmp_path / "dmg" / CHECKPOINT_NAME
         path.write_bytes(damage(path.read_bytes()))
         rc = main(["simulate", "--config", write_config(tmp_path, doc)])
+        assert output_files(doc["output_dir"]) == before
         return rc, json.loads(capsys.readouterr().err)["error"]["kind"]
+
+    # a well-formed ladder state of the window run's 4 levels (truncation k_max 3)
+    LADDER = {"count": 3, "first": 0.0, "last": 0.06, "sup": [0.1, 0.0, 0.0, 0.0],
+              "grad": [0.2, 0.0, 0.0, 0.0], "pending": [0.3, None, None, None]}
+
+    @pytest.mark.parametrize("edit,overrides", [
+        ({"step": -5}, {}),
+        ({"step": 2.5}, {}),
+        ({"step": "3"}, {}),
+        ({"step": True}, {}),
+        ({"step": None}, {}),
+        ({"truncation": {"count": 1}}, {}),
+        ({"truncation": "x"}, {}),
+        ({"truncation": None}, {}),
+        ({"truncation": dict(LADDER, extra=0)}, {}),
+        ({"truncation": dict(LADDER, count=-1)}, {}),
+        ({"truncation": dict(LADDER, count=1.0)}, {}),
+        ({"truncation": dict(LADDER, first="x")}, {}),
+        ({"truncation": dict(LADDER, sup=[0.0] * 3)}, {}),
+        ({"truncation": dict(LADDER, grad=[0.0, 0.0, True, 0.0])}, {}),
+        ({"truncation": dict(LADDER, sup=[None] * 4)}, {}),
+        ({"truncation": dict(LADDER, pending="xxxx")}, {}),
+        ({"truncation": LADDER}, {"diagnostics": {"k_max": 4}}),  # no window
+    ])
+    def test_bad_resume_fields_refused(self, tmp_path, capsys, edit, overrides):
+        # the crc32 covers only the payload: the header's step and ladder
+        # state are checked before any file is touched
+        damage = header_edit(**edit)
+        assert self._damaged_checkpoint(tmp_path, capsys, damage, **overrides) == (
+            2, "ParseError"
+        )
+
+    def test_well_formed_ladder_edit_resumes(self, tmp_path, capsys):
+        # the state the refused ladder edits start from passes the checks
+        doc = window_doc(str(tmp_path / "ok"))
+        assert cmd_simulate(parse_config(doc), stop_after_steps=7) == 0
+        path = tmp_path / "ok" / CHECKPOINT_NAME
+        path.write_bytes(header_edit(truncation=self.LADDER)(path.read_bytes()))
+        assert cmd_simulate(parse_config(doc)) == 0
 
     def test_corrupt_checkpoint_refused(self, tmp_path, capsys):
         def flip_last_byte(data):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from activeflow import (
     rhs,
     run,
     step_imex,
+    verify_small_pe_decay,
 )
 from activeflow.dynamics import _advection_hat, march, rescale_ell
 from activeflow.errors import (
@@ -203,6 +205,14 @@ class TestTransformCount:
         calls = _count_ffts(monkeypatch, lambda: run(f0, params, 0.05, snapshot_stride=10**9))
         assert calls["rfftn"] == 1
         assert _passes(calls) == (1 + 4 + 9 * 5 - 2, 1 + 5)
+
+    def test_decay_check_transforms_as_run_does(self, desk, monkeypatch):
+        # verify_small_pe_decay reads l2_to_const off states: 3 + 9n over n
+        # steps (Pe 0.3 lies above the threshold, so no rate is fitted)
+        f0, params = desk
+        for n in (5, 6):
+            decay = functools.partial(verify_small_pe_decay, f0, params, n * params.dt)
+            assert _passes(_count_ffts(monkeypatch, decay)) == (3 + 9 * n, 1 + n)
 
     def test_rhs_makes_eight_two_along_theta(self, desk, monkeypatch):
         # one rfft along theta for both terms (1), its x transforms for the

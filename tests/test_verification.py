@@ -1,9 +1,13 @@
 """Behavior of the check harness itself (gating and sabotage detection)."""
 
+import sys
+
 import pytest
 
+import checks_reference
+from activeflow import diagnostics
 from activeflow.config import parse_config
-from activeflow.verification import FAIL, SKIP, run_check
+from activeflow.verification import FAIL, PASS, SKIP, run_check
 
 
 def make_config(**params_overrides):
@@ -43,3 +47,47 @@ def test_zero_peclet_skips_advection_checks():
 def test_unknown_criterion_rejected():
     with pytest.raises(ValueError):
         run_check(11, make_config())
+
+
+CHECK_DOC = {
+    "grid": {"n_x": 8, "n_theta": 8},
+    "params": {"pe": 0.05, "de": 1.0, "dt": 0.025, "dealias": True},
+    "initial": {"kind": "single_mode", "m": 1.0, "epsilon": 0.5, "mode": [1, 0, 0]},
+    "t_end": 1.0,
+    "output_dir": "out",
+}
+
+
+def _count_records(monkeypatch, fn):
+    """Calls fn() makes to diagnostics.compute_record, under every name a
+    module of the package binds it to."""
+    calls = []
+    original = diagnostics.compute_record
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "activeflow":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    result = fn()
+    monkeypatch.undo()
+    return result, len(calls)
+
+
+@pytest.mark.parametrize("criterion,records", [
+    (1, 0), (2, 0), (3, 0), (4, 0), (5, 603), (6, 0), (7, 0), (8, 2), (9, 41),
+])
+def test_each_check_records_only_what_it_reads(monkeypatch, criterion, records):
+    # at 8^3, dt 0.025, through run the record-only checks made 2001, 101, 15,
+    # 401, 402, 401 and 41 records; criteria 5 and 9 keep run's snapshots
+    config = parse_config(CHECK_DOC)
+    result, calls = _count_records(monkeypatch, lambda: run_check(criterion, config))
+    assert result.status == PASS
+    assert calls == records
+    if criterion in checks_reference.DETAILS:
+        want = checks_reference.DETAILS[criterion](config.grid, config.params)
+        assert result.detail == want
