@@ -34,7 +34,6 @@ from .diagnostics import (
     TruncationLadder,
     fit_decay_rate,
     lp_ladder,
-    parabolic_norm,
     truncation_energy,
     truncation_energy_rescaled,
 )

@@ -63,6 +63,13 @@ def l2_to_const(f: Field3, m: float) -> float:
     return math.sqrt(float(np.multiply(dev, dev, out=dev).sum()) * f.grid.cell_volume)
 
 
+def grad_l2(abs_sq: np.ndarray, grid: GridSpec) -> float:
+    """L2 norm of the space-angle gradient by Parseval, from the |coeffs|^2 of
+    a mean-normalized half spectrum."""
+    c = _cache(grid.n_x, grid.n_theta)
+    return math.sqrt(float((TWO_PI**3 * c["mult"] * c["k_sq"] * abs_sq).sum()))
+
+
 @lru_cache(maxsize=32)
 def _tail_mask(n: int, nt: int, fraction: float) -> np.ndarray:
     """Half-spectrum modes beyond fraction * n on some axis."""
@@ -92,8 +99,7 @@ def compute_record(
     c = _cache(f.grid.n_x, f.grid.n_theta)
     rho = f.rho
     abs_sq = np.abs(coeffs) ** 2
-    weight = TWO_PI**3 * c["mult"]
-    energy = weight * abs_sq
+    energy = TWO_PI**3 * c["mult"] * abs_sq
     energy[0, 0, 0] = 0.0  # not subtracted after the sum: that cancels to noise
     nonconstant = float(energy.sum())
     tail = 0.0 if nonconstant <= 1e-300 else float(
@@ -106,28 +112,10 @@ def compute_record(
         linf=f.linf,
         rho_min=float(rho.min()),
         rho_max=float(rho.max()),
-        grad_l2=math.sqrt(float((weight * c["k_sq"] * abs_sq).sum())),
+        grad_l2=grad_l2(abs_sq, f.grid),
         spectral_tail=tail,
         lp_ladder=tuple(lp_ladder(f, k_max)),
     )
-
-
-def parabolic_norm(traj: "Trajectory") -> float:
-    """sqrt(max_t ||f||_L2^2 + sum_steps dt * ||grad f||_L2^2).
-
-    The time integral of the gradient energy uses the left-endpoint rectangle
-    rule over the per-step records. ||f||^2 is reconstructed from the
-    distance-to-constant record and the conserved mean (they are orthogonal).
-    """
-    records = traj.diagnostics
-    if not records:
-        raise ValueError("trajectory has no diagnostics records")
-    const_sq = traj.mean0**2 * TWO_PI**3
-    sup_sq = max(r.l2_to_const**2 + const_sq for r in records)
-    grad_sq = 0.0
-    for a, b in zip(records[:-1], records[1:]):
-        grad_sq += (b.t - a.t) * a.grad_l2**2
-    return math.sqrt(sup_sq + grad_sq)
 
 
 # --- truncation-energy ladder ---------------------------------------------------

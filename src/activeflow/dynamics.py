@@ -7,9 +7,13 @@ identically and the stepper conserves mass to machine precision.
 
 march is the one stepping core: it carries the half-spectrum state from step
 to step and owns the CFL warning and the blowup checks. states puts step 0
-in front of it and step_count gives the number of steps to a time, so run,
-the simulate command and the stationary solver share one trajectory loop; a
-resumed simulate continues with march alone, and step_imex is its first step.
+in front of it and step_count gives the number of steps to a time, so every
+command (simulate, the checks, the decay and stationary reports) shares one
+trajectory loop; a resumed simulate continues with march alone, and
+step_imex is its first step. rhs_hat is the right-hand side on a carried
+spectrum. No command calls run, which collects a Trajectory of records and
+snapshots, or the field form rhs: they serve the tests and the benchmark's
+tracer.
 
 The advection works in mixed space, physical in x and half-spectral in
 theta: (1 - rho) does not depend on theta, so it multiplies the angle modes
@@ -97,18 +101,21 @@ def _advection_hat(mixed: np.ndarray, grid: GridSpec, params: Params) -> np.ndar
     return out
 
 
+def rhs_hat(coeffs: np.ndarray, grid: GridSpec, params: Params) -> np.ndarray:
+    """Half spectrum of de * Delta_x f + d^2f/dtheta^2 - Pe div_x((1 - rho) f
+    e(theta)) for the f whose half spectrum is coeffs: the diffusion symbol
+    times coeffs, plus the advection on its band from x_inverse(coeffs)."""
+    c = _cache(grid.n_x, grid.n_theta)
+    out = -(params.de * c["kx_sq"] + c["k3"] ** 2) * coeffs
+    flat = _band(grid.n_x, grid.n_theta, params.dealias)["flat"]
+    np.put(out, flat, out.take(flat) + _advection_hat(x_inverse(coeffs, grid), grid, params))
+    return out
+
+
 def rhs(f: Field3, params: Params) -> Field3:
-    """de * Delta_x f + d^2f/dtheta^2 - Pe div_x((1 - rho) f e(theta))."""
-    c = _cache(f.grid.n_x, f.grid.n_theta)
-    # one pass along theta for both terms; fft along x2, then x1, on it is
-    # rfftn's own sequence, so spec is forward(f) bit for bit
-    mixed = np.fft.rfft(f.values, axis=2)
-    spec = np.fft.fft(np.fft.fft(mixed, axis=1), axis=0) / f.values.size
-    diffusion = -(params.de * c["kx_sq"] + c["k3"] ** 2) * spec
-    advection = np.zeros_like(diffusion)
-    np.put(advection, _band(f.grid.n_x, f.grid.n_theta, params.dealias)["flat"],
-           _advection_hat(mixed, f.grid, params))
-    return inverse(diffusion + advection, f.grid)
+    """de * Delta_x f + d^2f/dtheta^2 - Pe div_x((1 - rho) f e(theta)), through
+    rhs_hat on forward(f)."""
+    return inverse(rhs_hat(forward(f), f.grid, params), f.grid)
 
 
 def cfl_dt(f: Field3, params: Params) -> float:
@@ -287,8 +294,6 @@ class RescaledSlice:
     values: np.ndarray
     grads: tuple[np.ndarray, np.ndarray, np.ndarray]
     ell: float
-    r: float
-    delta: float
     cell_volume: float
 
 
@@ -349,12 +354,4 @@ def rescale_field(
     values = ell * samples
     grads = tuple(ell * r * d for d in derivatives)
     cell = (2.0 / grid.n_x) ** 2 * (2.0 / grid.n_theta)
-    return RescaledSlice(
-        tau=tau,
-        values=values,
-        grads=grads,
-        ell=ell,
-        r=r,
-        delta=delta,
-        cell_volume=cell,
-    )
+    return RescaledSlice(tau=tau, values=values, grads=grads, ell=ell, cell_volume=cell)

@@ -3,19 +3,24 @@
 Covers the small-Peclet exponential convergence rate kappa and its validity
 threshold, decay measurement against that rate, stationary residuals with a
 time-marching stationary solver, and the angle-marginal heat-decay check
-that holds at every Peclet number.
+that holds at every Peclet number. Each reads the stepping core's carried
+half spectrum: the residual is the Parseval norm of dynamics.rhs_hat on it,
+and the angle marginal's deviation comes from its k_x = 0 row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .diagnostics import fit_decay_rate, l2_to_const
-from .dynamics import Trajectory, rhs, states, step_count
+from .dynamics import rhs_hat, states, step_count
 from .errors import AdmissibilityViolation, NotConverged
-from .grid import TWO_PI, Field3, Params, check_admissible
-from .spectral import l2_norm, poincare_constant
+from .grid import TWO_PI, Field3, GridSpec, Params, check_admissible
+from .spectral import _cache, poincare_constant
 
 
 @dataclass(frozen=True)
@@ -93,9 +98,11 @@ def verify_small_pe_decay(f0: Field3, params: Params, t_end: float) -> Equilibri
     )
 
 
-def stationary_residual(f: Field3, params: Params) -> float:
-    """L2 norm of the full right-hand side; zero exactly at stationary states."""
-    return l2_norm(rhs(f, params))
+def stationary_residual(coeffs: np.ndarray, grid: GridSpec, params: Params) -> float:
+    """L2 norm of the right-hand side of the field with half spectrum coeffs,
+    by Parseval from rhs_hat; zero exactly at stationary states."""
+    mult = _cache(grid.n_x, grid.n_theta)["mult"]
+    return math.sqrt(float((TWO_PI**3 * mult * np.abs(rhs_hat(coeffs, grid, params)) ** 2).sum()))
 
 
 def solve_stationary(
@@ -104,46 +111,45 @@ def solve_stationary(
     """Time-march until the stationary residual drops below tol.
 
     Iterates states over step_count(t_max, dt) steps and checks the residual
-    at step 0, every fifth step and the last. Returns the field and its
-    residual. Raises NotConverged when t_max is reached first, which at large
-    Peclet number is an informative outcome rather than a failure.
+    of the carried spectrum at step 0, every fifth step and the last. Returns
+    the field and its residual. Raises NotConverged when t_max is reached
+    first, which at large Peclet number is an informative outcome rather
+    than a failure.
     """
     report = check_admissible(f_guess)
     if not report.ok:
         raise AdmissibilityViolation("stationary guess is not admissible")
 
     n_steps = step_count(t_max, params.dt)
-    for step, _, f in states(f_guess, params, n_steps):
+    for step, coeffs, f in states(f_guess, params, n_steps):
         if step % 5 == 0 or step == n_steps:
-            residual = stationary_residual(f, params)
+            residual = stationary_residual(coeffs, f.grid, params)
             if residual < tol:
                 return f, residual
     raise NotConverged(t_max, residual)
 
 
-def spatial_average_decay(traj: Trajectory) -> tuple[float, bool]:
+def marginal_deviation(coeffs: np.ndarray, grid: GridSpec) -> float:
+    """L2 deviation from its angle mean of h(theta), the x-integral of the
+    field with half spectrum coeffs, by Parseval on the k_x = 0 row:
+    (2 pi)^2 sqrt(2 pi sum_{m >= 1} mult_m |c[0, 0, m]|^2)."""
+    mult = _cache(grid.n_x, grid.n_theta)["mult"][0, 0, 1:]
+    return TWO_PI**2 * math.sqrt(TWO_PI * float((mult * np.abs(coeffs[0, 0, 1:]) ** 2).sum()))
+
+
+def spatial_average_decay(times: Sequence[float], devs: Sequence[float]) -> tuple[float, bool]:
     """Heat-equation decay of the spatial averages h(t, theta).
 
-    h is the x-integral of f per snapshot; its deviation from the angle mean
-    must decay like exp(-t) at EVERY Peclet number (the spatial divergence
-    integrates away over the torus). Returns the fitted rate and whether the
-    pairwise bounds exp(-(1 - 1e-3)(t - t0)) hold for all snapshot pairs.
+    devs holds the marginal_deviation of h from its angle mean at each of
+    times; it must decay like exp(-t) at EVERY Peclet number (the spatial
+    divergence integrates away over the torus). Returns the fitted rate and
+    whether the pairwise bounds exp(-(1 - 1e-3)(t - t0)) hold for all pairs.
 
     Degenerate (angle-independent) data makes the bound vacuous; the rate is
     then reported as +inf with bound_ok=True.
     """
-    if len(traj.snapshots) < 10:
-        raise ValueError(
-            f"need >= 10 snapshots, got {len(traj.snapshots)}"
-        )
-    da = traj.grid.dx * traj.grid.dx
-    dth = traj.grid.dtheta
-    devs = []
-    for snap in traj.snapshots:
-        h = snap.values.sum(axis=(0, 1)) * da
-        h_mean = h.mean()
-        devs.append(math.sqrt(float(((h - h_mean) ** 2).sum()) * dth))
-
+    if len(devs) < 10:
+        raise ValueError(f"need >= 10 snapshots, got {len(devs)}")
     if devs[0] < 1e-14:
         return float("inf"), True
 
@@ -152,11 +158,9 @@ def spatial_average_decay(traj: Trajectory) -> tuple[float, bool]:
         if devs[i] < 1e-13:
             continue  # below measurement precision; bound vacuous onward
         for j in range(i + 1, len(devs)):
-            gap = traj.times[j] - traj.times[i]
+            gap = times[j] - times[i]
             if devs[j] > math.exp(-(1.0 - 1e-3) * gap) * devs[i] + 1e-14:
                 bound_ok = False
 
-    series = list(zip(traj.times, devs))
-    t_a, t_b = traj.times[0], traj.times[-1]
-    rate = fit_decay_rate(series, (t_a, t_b))
+    rate = fit_decay_rate(list(zip(times, devs)), (times[0], times[-1]))
     return rate, bound_ok

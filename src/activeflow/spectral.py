@@ -1,4 +1,4 @@
-"""Real 3D Fourier transforms, the advection band tables, and the L2 norm.
+"""Real 3D Fourier transforms, the advection band tables, and the Poincare constant.
 
 Transforms are normalized so the zero-mode coefficient equals the grid mean
 of the field; mass conservation then reduces to one coefficient staying put.
@@ -145,8 +145,3 @@ def poincare_constant(grid: GridSpec) -> float:
     k_sq = c["k_sq"]
     lam1 = float(k_sq[k_sq > 0].min())
     return 1.0 / math.sqrt(lam1)
-
-
-def l2_norm(f: Field3) -> float:
-    """L2 norm over the box (rectangle rule)."""
-    return math.sqrt(float((f.values**2).sum()) * f.grid.cell_volume)

@@ -2,13 +2,14 @@
 
 Snapshot files are a single JSON header line followed by the raw contiguous
 float64 payload (little-endian, row-major i1, i2, i_theta), trivially
-parseable from any language. Checkpoints (format 2) carry the run's
+parseable from any language. Checkpoints (format 3) carry the run's
 mean-normalized half spectrum instead (complex128, little-endian, row-major
-i1, i2, k_theta); their header adds the config hash, a zlib.crc32 of the
-payload and the truncation-ladder state as JSON floats (repr round-trips
-exactly), so a resumed run continues byte-identically. Snapshots and
-checkpoints are written to a ".tmp" sibling and moved into place with
-os.replace, so an interrupted write leaves no partial file.
+i1, i2, k_theta); their header adds the config hash, the truncation-ladder
+state as JSON floats (repr round-trips exactly) and a crc32 that seals the
+header with the payload, so a resumed run continues byte-identically or
+not at all. Snapshots and checkpoints are written to a ".tmp" sibling and
+moved into place with os.replace, so an interrupted write leaves no
+partial file.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import CheckpointMismatch, ParseError
 from .grid import Field3, GridSpec, Params
 
 FORMAT_VERSION = 1
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 def max_threads() -> int:
@@ -127,25 +128,33 @@ class SnapshotWriter:
 CHECKPOINT_NAME = "checkpoint.bin"
 
 
+def _seal(header: dict, payload) -> int:
+    """zlib.crc32 of the payload, seeded with that of the header's canonical
+    JSON (sorted keys, as written) without its crc32 key."""
+    head = json.dumps({k: v for k, v in header.items() if k != "crc32"}, sort_keys=True)
+    return zlib.crc32(payload, zlib.crc32(head.encode()))
+
+
 def write_checkpoint(out_dir: str, coeffs: np.ndarray, grid: GridSpec, time: float,
                      step: int, params: Params, config_hash: str, truncation=None) -> None:
-    """Write the carried half spectrum and ladder state, atomically."""
+    """Write the carried half spectrum and ladder state, sealed, atomically."""
     payload = np.ascontiguousarray(coeffs, dtype="<c16")
     header = _header(
         grid, time, step, params, format_version=CHECKPOINT_FORMAT,
         element_type="complex128", layout="row-major i1,i2,ktheta mean-normalized",
-        checkpoint=True, config_hash=config_hash, payload_crc32=zlib.crc32(payload),
-        truncation=truncation,
+        checkpoint=True, config_hash=config_hash, truncation=truncation,
     )
+    header["crc32"] = _seal(header, payload)
     _write_file(os.path.join(out_dir, CHECKPOINT_NAME), header, payload)
 
 
 def load_checkpoint(out_dir: str, config_hash: str):
     """Return (half spectrum, step, truncation state) or None.
 
-    CheckpointMismatch for another format or config; ParseError if corrupt,
-    or if step is not a JSON integer >= 0. The truncation state is checked
-    against the config by its consumer, diagnostics.TruncationReducer.
+    CheckpointMismatch for another format or config; ParseError if corrupt
+    (the crc32 does not match the header and payload), or if step is not a
+    JSON integer >= 0. The truncation state is checked against the config
+    by its consumer, diagnostics.TruncationReducer.
     """
     path = os.path.join(out_dir, CHECKPOINT_NAME)
     if not os.path.exists(path):
@@ -163,7 +172,7 @@ def load_checkpoint(out_dir: str, config_hash: str):
         )
     try:
         grid = GridSpec(header["n_x"], header["n_theta"])
-        step, crc = header["step"], header["payload_crc32"]
+        step, crc = header["step"], header["crc32"]
         truncation = header["truncation"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed checkpoint header ({exc!r})") from exc
@@ -173,8 +182,8 @@ def load_checkpoint(out_dir: str, config_hash: str):
     expected = 16 * shape[0] * shape[1] * shape[2]
     if len(payload) != expected:
         raise ParseError(f"{path}: payload is {len(payload)} bytes, not {expected}")
-    if zlib.crc32(payload) != crc:
-        raise ParseError(f"{path}: payload checksum does not match its header")
+    if _seal(header, payload) != crc:
+        raise ParseError(f"{path}: checksum does not match the header and payload")
     coeffs = np.frombuffer(payload, dtype="<c16").reshape(shape)
     return coeffs, step, truncation
 

@@ -1,10 +1,13 @@
-"""Spectral energies and an explicit Euler time reference, kept on the test side.
+"""Spectral energies, a grid L2 norm and an explicit Euler time reference,
+kept on the test side.
 
 The solver computes its gradient norm and spectral tail inside
 diagnostics.compute_record from the spectrum it carries. These are the
 stand-alone forms they replaced, from a fresh transform, so the record can be
-checked against them bit for bit; and explicit Euler on the spectral
-right-hand side, the time reference the stepper's order is measured against.
+checked against them bit for bit; the rectangle-rule L2 norm of a field, the
+physical-space side of the Parseval checks; and explicit Euler on the
+spectral right-hand side, the time reference the stepper's order is measured
+against.
 """
 
 import math
@@ -22,6 +25,11 @@ def mode_energy(coeffs, grid):
     for the mean-normalized half spectrum): summing it gives that integral."""
     c = _cache(grid.n_x, grid.n_theta)
     return TWO_PI**3 * c["mult"] * np.abs(coeffs) ** 2
+
+
+def l2_norm(f):
+    """L2 norm over the box (rectangle rule)."""
+    return math.sqrt(float((f.values**2).sum()) * f.grid.cell_volume)
 
 
 def grad_l2(f):

@@ -1,9 +1,12 @@
+import contextlib
 import functools
+import io
 import json
 import math
 import os
 import pathlib
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -72,14 +75,30 @@ def window_doc(out_dir, **overrides):
     return doc
 
 
-def header_edit(**fields):
-    """A checkpoint damage that sets header fields and keeps the payload."""
+def seal(header, payload):
+    """A format-3 checkpoint's crc32: zlib.crc32 of the payload, seeded with
+    that of the header's canonical JSON without the crc32 key."""
+    head = json.dumps({k: v for k, v in header.items() if k != "crc32"}, sort_keys=True)
+    return zlib.crc32(payload, zlib.crc32(head.encode()))
+
+
+def header_edit(reseal=True, **fields):
+    """A checkpoint damage that sets header fields and keeps the payload; with
+    reseal the crc32 is recomputed, so only the field checks can refuse it."""
     def edited(data):
         line, payload = data.split(b"\n", 1)
         header = dict(json.loads(line), **fields)
+        if reseal:
+            header["crc32"] = seal(header, payload)
         return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
 
     return edited
+
+
+# the keys of a checkpoint header
+HEADER_KEYS = {"byte_order", "checkpoint", "config_hash", "crc32", "element_type",
+               "format_version", "layout", "n_theta", "n_x", "params", "step", "time",
+               "truncation"}
 
 
 @functools.lru_cache(maxsize=1)
@@ -461,8 +480,8 @@ class TestSimulateCommand:
         ({"truncation": LADDER}, {"diagnostics": {"k_max": 4}}),  # no window
     ])
     def test_bad_resume_fields_refused(self, tmp_path, capsys, edit, overrides):
-        # the crc32 covers only the payload: the header's step and ladder
-        # state are checked before any file is touched
+        # resealed, so the crc32 passes: the header's step and ladder state
+        # are checked on their own before any file is touched
         damage = header_edit(**edit)
         assert self._damaged_checkpoint(tmp_path, capsys, damage, **overrides) == (
             2, "ParseError"
@@ -494,7 +513,7 @@ class TestSimulateCommand:
         def as_format_1(data):
             header = json.loads(data.split(b"\n", 1)[0])
             header.update(format_version=1, element_type="float64")
-            for key in ("payload_crc32", "truncation"):
+            for key in ("crc32", "truncation"):
                 del header[key]
             values = np.zeros((8, 8, 8), dtype="<f8").tobytes()
             return json.dumps(header, sort_keys=True).encode() + b"\n" + values
@@ -502,6 +521,47 @@ class TestSimulateCommand:
         assert self._damaged_checkpoint(tmp_path, capsys, as_format_1) == (
             2, "CheckpointMismatch"
         )
+
+    def test_format_2_checkpoint_refused(self, tmp_path, capsys):
+        # format 2's payload_crc32 covered the payload only, not the header
+        def as_format_2(data):
+            line, payload = data.split(b"\n", 1)
+            header = json.loads(line)
+            del header["crc32"]
+            header.update(format_version=2, payload_crc32=zlib.crc32(payload))
+            return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+
+        assert self._damaged_checkpoint(tmp_path, capsys, as_format_2) == (
+            2, "CheckpointMismatch"
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(stop=st.integers(1, 12), key=st.sampled_from(sorted(HEADER_KEYS)),
+           value=st.none() | st.booleans() | st.integers(-3, 20) | st.floats()
+           | st.text(max_size=3) | st.just({}) | st.just([])
+           | st.sampled_from(sorted(HEADER_KEYS)))
+    @example(stop=7, key="step", value=3)  # resumed the step-7 spectrum as step 3
+    @example(stop=7, key="step", value=7)  # the value it holds: resumes as written
+    def test_unsealed_header_edit_refused_or_harmless(self, stop, key, value):
+        # any single header-field edit, not resealed: exit 2 with a JSON error
+        # and every file as it was, or a byte-identical resume
+        with tempfile.TemporaryDirectory() as tmp:
+            out = pathlib.Path(tmp) / "out"
+            doc = window_doc(str(out))
+            assert cmd_simulate(parse_config(doc), stop_after_steps=stop) == 0
+            path = out / CHECKPOINT_NAME
+            assert set(json.loads(path.read_bytes().split(b"\n", 1)[0])) == HEADER_KEYS
+            path.write_bytes(header_edit(reseal=False, **{key: value})(path.read_bytes()))
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["simulate", "--config", write_config(pathlib.Path(tmp), doc)])
+            if rc == 0:
+                assert output_files(str(out)) == uninterrupted_window_run()
+            else:
+                assert rc == 2
+                assert "kind" in json.loads(err.getvalue())["error"]
+                assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_checkpoint_mismatch_refused(self, tmp_path, capsys):
         out_dir = str(tmp_path / "ck")

@@ -16,7 +16,6 @@ from activeflow import (
     fit_decay_rate,
     lp_ladder,
     make_initial,
-    parabolic_norm,
     run,
     truncation_energy,
 )
@@ -31,6 +30,7 @@ from activeflow.dynamics import Trajectory, march, rescale_field
 from activeflow.errors import NegativeField, NonpositiveValue, TooFewPoints, WindowTooShort
 from activeflow.grid import make_grid
 from activeflow.spectral import forward
+from checks_reference import parabolic_norm
 from conftest import field_from, random_field
 from ladder_reference import reference_ladder
 from moment_reference import moment_residual
@@ -170,6 +170,9 @@ class TestSpectralTail:
 
 
 class TestParabolicNorm:
+    """The record-based parabolic norm of checks_reference, which criterion
+    9's streamed norm equals bit for bit (tests/test_verification.py)."""
+
     def test_constant_trajectory(self, grid8):
         f0 = make_initial(ConstantData(m=1.0), grid8)
         traj = run(f0, Params(pe=0.0, de=1.0, dt=0.1), 1.0)

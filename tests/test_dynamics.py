@@ -17,6 +17,7 @@ from activeflow import (
     rescale_field,
     rhs,
     run,
+    stationary_residual,
     step_imex,
     verify_small_pe_decay,
 )
@@ -219,6 +220,14 @@ class TestTransformCount:
         # diffusion (2), the band x forward (2), inverse (3)
         f, params = desk
         assert _passes(_count_ffts(monkeypatch, lambda: rhs(f, params))) == (8, 2)
+
+    def test_stationary_residual_makes_four_none_along_theta(self, desk, monkeypatch):
+        # on a carried spectrum the residual transforms only the advection's
+        # x axes: its x inverse (2) and band x forward (2)
+        f, params = desk
+        coeffs = forward(f)
+        residual = functools.partial(stationary_residual, coeffs, f.grid, params)
+        assert _passes(_count_ffts(monkeypatch, residual)) == (4, 0)
 
     def test_rhs_diffusion_spectrum_is_the_forward_transform(self, desk):
         # at Pe = 0 rhs is the diffusion alone: its spectrum, derived from the

@@ -12,21 +12,39 @@ from activeflow import (
     kappa,
     make_initial,
     peclet_threshold,
+    rhs,
     run,
     solve_stationary,
     spatial_average_decay,
     stationary_residual,
     verify_small_pe_decay,
 )
+from activeflow.dynamics import states, step_count
+from activeflow.equilibrium import marginal_deviation
 from activeflow.errors import NotConverged
-from activeflow.spectral import l2_norm
-from conftest import field_from
+from activeflow.spectral import forward
+from checks_reference import spatial_average_decay as trajectory_average_decay
+from conftest import field_from, random_field
+from spectral_reference import l2_norm
 
 TWO_PI = 2.0 * math.pi
 
 
 def _p(pe, de=1.0, dt=0.01):
     return Params(pe=pe, de=de, dt=dt)
+
+
+def _residual(f, params):
+    return stationary_residual(forward(f), f.grid, params)
+
+
+def marginal_series(f0, params, t_end, stride):
+    """(times, devs) at every stride-th step of states and the last, as
+    criterion 5 takes them."""
+    n = step_count(t_end, params.dt)
+    kept = [(s * params.dt, marginal_deviation(c, f0.grid))
+            for s, c, _ in states(f0, params, n) if s % stride == 0 or s == n]
+    return [t for t, _ in kept], [d for _, d in kept]
 
 
 class TestKappa:
@@ -117,20 +135,27 @@ class TestStationaryResidual:
     def test_constants_vanish(self, grid16):
         for m in (0.5, 1.0, 20.0):
             f = make_initial(ConstantData(m=m), grid16)
-            assert stationary_residual(f, _p(0.8)) <= 1e-13
+            assert _residual(f, _p(0.8)) <= 1e-13
 
     def test_pure_mode_at_zero_peclet(self, grid16):
         f = field_from(grid16, lambda x1, x2, th: 0.01 + 0.001 * np.cos(x1))
-        res = stationary_residual(f, _p(0.0, de=2.0))
+        res = _residual(f, _p(0.0, de=2.0))
         cos_field = field_from(grid16, lambda x1, x2, th: 0.001 * np.cos(x1))
         assert res == pytest.approx(2.0 * l2_norm(cos_field), rel=1e-12)
 
     def test_constant_shift_invariance_at_zero_peclet(self, grid16):
         f = field_from(grid16, lambda x1, x2, th: 0.02 + 0.002 * np.sin(x2 + th))
         g = Field3(grid=grid16, values=f.values + 0.013)
-        r_f = stationary_residual(f, _p(0.0))
-        r_g = stationary_residual(g, _p(0.0))
+        r_f = _residual(f, _p(0.0))
+        r_g = _residual(g, _p(0.0))
         assert r_f == pytest.approx(r_g, rel=1e-12)
+
+    @pytest.mark.parametrize("pe", [0.0, 0.3])
+    def test_parseval_norm_of_the_field_rhs(self, grid16, pe):
+        # the norm of the spectrum equals the grid norm of the field rhs
+        f = random_field(grid16, seed=5, positive=True)
+        want = l2_norm(rhs(f, _p(pe)))
+        assert _residual(f, _p(pe)) == pytest.approx(want, rel=1e-12)
 
 
 class TestSolveStationary:
@@ -158,21 +183,40 @@ class TestSolveStationary:
 class TestSpatialAverageDecay:
     def test_heat_mode_rate(self, grid16):
         f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(0, 0, 1)), grid16)
-        traj = run(f0, _p(0.0), 3.0, snapshot_stride=10)
-        rate, bound_ok = spatial_average_decay(traj)
+        rate, bound_ok = spatial_average_decay(*marginal_series(f0, _p(0.0), 3.0, 10))
         assert bound_ok
         assert rate == pytest.approx(1.0, abs=1e-4)
 
     def test_holds_above_threshold(self, grid16):
         f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(0, 0, 1)), grid16)
-        traj = run(f0, _p(0.3), 3.0, snapshot_stride=10)
-        rate, bound_ok = spatial_average_decay(traj)
+        rate, bound_ok = spatial_average_decay(*marginal_series(f0, _p(0.3), 3.0, 10))
         assert bound_ok
         assert rate >= 1.0 - 1e-3
 
     def test_degenerate_data(self, grid16):
         f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 0)), grid16)
-        traj = run(f0, _p(0.05), 1.0, snapshot_stride=5)
-        rate, bound_ok = spatial_average_decay(traj)
+        rate, bound_ok = spatial_average_decay(*marginal_series(f0, _p(0.05), 1.0, 5))
         assert bound_ok
         assert math.isinf(rate)
+
+    def test_spectral_deviation_matches_the_grid_sum(self, grid16):
+        # the k_x = 0 row by Parseval against h summed on the grid, on the
+        # snapshots of the trajectory reference; the two forms agree on rate
+        f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(0, 0, 1)), grid16)
+        noise = random_field(grid16, seed=2, positive=True).values
+        f0 = Field3(grid=grid16, values=f0.values + 2e-4 * noise)
+        traj = run(f0, _p(0.3), 1.0, snapshot_stride=10)
+        times, devs = marginal_series(f0, _p(0.3), 1.0, 10)
+        assert times == traj.times
+        for snap, dev in zip(traj.snapshots, devs):
+            h = snap.values.sum(axis=(0, 1)) * grid16.dx**2
+            want = math.sqrt(float(((h - h.mean()) ** 2).sum()) * grid16.dtheta)
+            assert dev == pytest.approx(want, rel=1e-12)
+        rate, bound_ok = spatial_average_decay(times, devs)
+        want_rate, want_ok = trajectory_average_decay(traj)
+        assert bound_ok == want_ok
+        assert rate == pytest.approx(want_rate, rel=1e-9)
+
+    def test_needs_ten_points(self):
+        with pytest.raises(ValueError):
+            spatial_average_decay([0.1 * i for i in range(9)], [1.0] * 9)

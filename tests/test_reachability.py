@@ -5,9 +5,11 @@ fresh simulate, a resume of it at its final step, a run whose field crosses
 a truncation level, a blowup and a bad config, then verify, decay,
 stationary and oracle-compare. Functions are keyed on their code object's
 file and first line. One that no run reaches is dead code: delete it, or
-reach it from a command.
+reach it from a command. The allow-list holds only names the benchmark's
+tracer binds by name, and the test checks that it does.
 """
 
+import ast
 import contextlib
 import inspect
 import io
@@ -21,9 +23,26 @@ import activeflow
 from activeflow import cli
 
 # Bound by name in perfbench/tracer.py, which wraps them for its spans.
-TRACER_BOUND = {"step_imex", "truncation_energy", "read_snapshot"}
+TRACER_BOUND = {"step_imex", "truncation_energy", "read_snapshot", "run", "rhs"}
 
 PACKAGE = os.path.dirname(os.path.realpath(activeflow.__file__))
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "tracer.py")
+
+
+def tracer_entry_points():
+    """The attribute names of perfbench/tracer.py's ENTRY_POINTS, read with ast."""
+    with open(TRACER, "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "ENTRY_POINTS" for t in node.targets):
+            return {attr for _, attr in ast.literal_eval(node.value)}
+    raise AssertionError(f"{TRACER} binds no ENTRY_POINTS")
+
+
+def test_allow_list_is_bound_by_the_tracer():
+    assert TRACER_BOUND <= tracer_entry_points()
 
 
 def defined_functions():

@@ -13,10 +13,10 @@ from activeflow import (
     poincare_constant,
 )
 from activeflow.diagnostics import _spectral_grads
-from activeflow.spectral import _cache, forward_band, l2_norm, synthesize
+from activeflow.spectral import _cache, forward_band, synthesize
 from conftest import field_from, random_field
 from moment_reference import polarization
-from spectral_reference import grad_l2, mode_energy
+from spectral_reference import grad_l2, l2_norm, mode_energy
 
 TWO_PI = 2.0 * math.pi
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import checks_reference
-from activeflow import diagnostics
+from activeflow import diagnostics, verification
 from activeflow.config import parse_config
 from activeflow.verification import FAIL, PASS, SKIP, run_check
 
@@ -79,11 +79,11 @@ def _count_records(monkeypatch, fn):
 
 
 @pytest.mark.parametrize("criterion,records", [
-    (1, 0), (2, 0), (3, 0), (4, 0), (5, 603), (6, 0), (7, 0), (8, 2), (9, 41),
+    (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0), (8, 2), (9, 0),
 ])
 def test_each_check_records_only_what_it_reads(monkeypatch, criterion, records):
-    # at 8^3, dt 0.025, through run the record-only checks made 2001, 101, 15,
-    # 401, 402, 401 and 41 records; criteria 5 and 9 keep run's snapshots
+    # at 8^3, dt 0.025, through run criteria 1-9 made 2001, 101, 15, 401, 603,
+    # 402, 401, 41 and 41 records
     config = parse_config(CHECK_DOC)
     result, calls = _count_records(monkeypatch, lambda: run_check(criterion, config))
     assert result.status == PASS
@@ -91,3 +91,20 @@ def test_each_check_records_only_what_it_reads(monkeypatch, criterion, records):
     if criterion in checks_reference.DETAILS:
         want = checks_reference.DETAILS[criterion](config.grid, config.params)
         assert result.detail == want
+
+
+def test_degiorgi_parabolic_norm_is_the_trajectory_one(monkeypatch):
+    # criterion 9 streams the parabolic norm over states; the p_norm it hands
+    # rescale_field must be the record-based norm of run's trajectory, bit for bit
+    config = parse_config(CHECK_DOC)
+    seen = set()
+    original = verification.rescale_field
+
+    def capture(*args, **kwargs):
+        seen.add(kwargs["p_norm"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "rescale_field", capture)
+    assert run_check(9, config).status == PASS
+    _, want = checks_reference.degiorgi_run(config.grid, config.params)
+    assert seen == {want}
