@@ -47,7 +47,6 @@ from .equilibrium import (
     verify_small_pe_decay,
 )
 from .oracle import (
-    OracleConfig,
     dense_poincare,
     exact_linear_solution,
     fd_rhs,

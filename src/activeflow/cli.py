@@ -39,10 +39,12 @@ from .errors import (
 from .grid import Field3, make_initial
 from .spectral import poincare_constant, synthesize
 from .storage import (
+    CSV_SCALARS,
     SnapshotWriter,
     csv_header,
     csv_row,
     load_checkpoint,
+    replace_file,
     write_checkpoint,
 )
 from .verification import FAIL, oracle_equivalence, run_all
@@ -69,16 +71,19 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     A fresh run iterates dynamics.states, a resume continues dynamics.march
     from the checkpoint's spectrum and ladder state, byte-identically. One
     body serves every step, step 0 included: a diagnostics.csv row, and at
-    strided steps a snapshot, fed to the truncation-ladder reducer. The CSV
-    is flushed before each checkpoint, and checkpoints come after step 0. A
-    checkpoint of another format or config is refused, and so (ParseError,
-    every file left as it is) are a header step or ladder state that does
-    not fit the config and a diagnostics.csv without the header or a row up
-    to its step. summary.json is written last, through a moved tmp file, and
-    a fresh start removes the previous one and every snap_*.bin(.tmp), so
-    each output is this run's and the summary whole or absent. The
-    stop_after_steps hook halts after a checkpoint at that step; it exists
-    for interruption/resume testing and is not exposed on the CLI.
+    strided steps a snapshot, fed to the truncation-ladder reducer. Every
+    file is written on this thread, in step order: the CSV is flushed and the
+    step's snapshot written before its checkpoint, so a checkpoint reaches
+    disk only after every output up to its step. Checkpoints come after step
+    0. A checkpoint of another format or config is refused, and so
+    (ParseError, every file left as it is) are a header step or ladder state
+    that does not fit the config and a diagnostics.csv without the header or
+    a row up to its step. summary.json is written last, through
+    storage.replace_file, and a fresh start removes the previous one and
+    every snap_*.bin(.tmp), so each output is this run's and the summary
+    whole or absent. The stop_after_steps hook halts after a checkpoint at
+    that step; it exists for interruption/resume testing and is not exposed
+    on the CLI.
     """
     grid, params = config.grid, config.params
     os.makedirs(config.output_dir, exist_ok=True)
@@ -158,15 +163,13 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     }
     if ladder is not None:
         summary["truncation"] = _truncation_summary(config, ladder)
-    with open(summary_path + ".tmp", "w", encoding="utf-8") as fh:
-        json.dump(_json_safe(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(summary_path + ".tmp", summary_path)
+    text = json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n"
+    replace_file(summary_path, text.encode())
     return 0
 
 
 def _cut_csv(csv_path: str, k_max: int, step: int) -> float:
-    """Cut diagnostics.csv back to a checkpoint's step through a moved tmp file,
+    """Cut diagnostics.csv back to a checkpoint's step through replace_file,
     so an interruption leaves the old rows or the cut ones; return its l2_to_const."""
     try:
         with open(csv_path, "r", encoding="utf-8") as fh:
@@ -179,13 +182,10 @@ def _cut_csv(csv_path: str, k_max: int, step: int) -> float:
             f"from checkpoint step {step}; found {len(lines)} lines"
         )
     try:
-        l2 = float(lines[step + 1].split(",")[2])  # the l2_to_const column
+        l2 = float(lines[step + 1].split(",")[CSV_SCALARS.index("l2_to_const")])
     except (IndexError, ValueError) as exc:
         raise ParseError(f"{csv_path}: malformed row for step {step}") from exc
-    tmp = csv_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines[: step + 2]) + "\n")  # header + rows
-    os.replace(tmp, csv_path)
+    replace_file(csv_path, ("\n".join(lines[: step + 2]) + "\n").encode())  # header, rows
     return l2
 
 

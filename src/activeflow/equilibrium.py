@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagnostics import fit_decay_rate, l2_to_const
 from .dynamics import rhs_hat, states, step_count
-from .errors import AdmissibilityViolation, NotConverged
+from .errors import AdmissibilityViolation, NotConverged, TooFewPoints
 from .grid import TWO_PI, Field3, GridSpec, Params, check_admissible
 from .spectral import _cache, poincare_constant
 
@@ -149,7 +149,7 @@ def spatial_average_decay(times: Sequence[float], devs: Sequence[float]) -> tupl
     then reported as +inf with bound_ok=True.
     """
     if len(devs) < 10:
-        raise ValueError(f"need >= 10 snapshots, got {len(devs)}")
+        raise TooFewPoints(f"need >= 10 snapshots, got {len(devs)}")
     if devs[0] < 1e-14:
         return float("inf"), True
 

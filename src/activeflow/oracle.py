@@ -9,7 +9,6 @@ shares discretization machinery with the main scheme beyond the field types.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,25 +17,9 @@ from .grid import Field3, GridSpec, Params
 from .spectral import _cache, forward, inverse
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Small-grid explicit-Euler configuration.
-
-    dt_fine must respect the explicit stability bound dx^2 / (6 max(de, 1));
-    a typical choice is the spectral time step divided by 50.
-    """
-
-    grid: GridSpec
-    dt_fine: float
-
-    def __post_init__(self):
-        if self.grid.n_x > 16 or self.grid.n_theta > 16:
-            raise ValueError("oracle grids are limited to 16 points per axis")
-        if self.dt_fine <= 0:
-            raise ValueError("dt_fine must be positive")
-
-    def stability_bound(self, de: float) -> float:
-        return self.grid.dx**2 / (6.0 * max(de, 1.0))
+def stability_bound(grid: GridSpec, de: float) -> float:
+    """Explicit Euler's stability bound dx^2 / (6 max(de, 1)) for fd_rhs."""
+    return grid.dx**2 / (6.0 * max(de, 1.0))
 
 
 def fd_rhs(f: Field3, params: Params) -> Field3:
@@ -75,20 +58,22 @@ def fd_rhs(f: Field3, params: Params) -> Field3:
     return Field3(grid=g, values=lap - params.pe * div)
 
 
-def fd_run(f0: Field3, params: Params, t_end: float, cfg: OracleConfig) -> Field3:
-    """Explicit Euler with fd_rhs up to t_end (whole number of fine steps)."""
-    if cfg.dt_fine > cfg.stability_bound(params.de):
-        raise ValueError(
-            f"dt_fine {cfg.dt_fine:g} exceeds the stability bound "
-            f"{cfg.stability_bound(params.de):g}"
-        )
-    if f0.grid != cfg.grid:
-        raise ValueError("initial data grid does not match the oracle grid")
-    n_steps = int(round(t_end / cfg.dt_fine))
+def fd_run(f0: Field3, params: Params, t_end: float, dt_fine: float) -> Field3:
+    """Explicit Euler with fd_rhs up to t_end (whole number of fine steps).
+
+    f0's grid has at most 16 points per axis, and dt_fine lies in
+    (0, stability_bound]; a typical choice is the spectral time step / 50.
+    """
+    if f0.grid.n_x > 16 or f0.grid.n_theta > 16:
+        raise ValueError("oracle grids are limited to 16 points per axis")
+    bound = stability_bound(f0.grid, params.de)
+    if not 0 < dt_fine <= bound:
+        raise ValueError(f"dt_fine {dt_fine:g} is not in (0, {bound:g}], the stability bound")
+    n_steps = int(round(t_end / dt_fine))
     v = f0.values.copy()
     f = f0
     for step in range(1, n_steps + 1):
-        v = v + cfg.dt_fine * fd_rhs(f, params).values
+        v = v + dt_fine * fd_rhs(f, params).values
         if not np.isfinite(v).all():
             raise NumericalBlowup("oracle run produced non-finite values", step=step)
         f = Field3(grid=f0.grid, values=v)

@@ -7,17 +7,18 @@ mean-normalized half spectrum instead (complex128, little-endian, row-major
 i1, i2, k_theta); their header adds the config hash, the truncation-ladder
 state as JSON floats (repr round-trips exactly) and a crc32 that seals the
 header with the payload, so a resumed run continues byte-identically or
-not at all. Snapshots and checkpoints are written to a ".tmp" sibling and
-moved into place with os.replace, so an interrupted write leaves no
-partial file.
+not at all. Every file a run writes goes through replace_file: a ".tmp"
+sibling moved into place with os.replace, so an interrupted write leaves no
+partial file. All of it is written on the stepping thread, in step order, so
+a checkpoint reaches disk only after every output up to its step.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,15 +28,6 @@ from .grid import Field3, GridSpec, Params
 
 FORMAT_VERSION = 1
 CHECKPOINT_FORMAT = 3
-
-
-def max_threads() -> int:
-    """Parallelism cap from ACTIVEFLOW_THREADS (defaults to 1)."""
-    raw = os.environ.get("ACTIVEFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _header(grid: GridSpec, time: float, step: int, params: Params, **extra) -> dict:
@@ -54,15 +46,18 @@ def _header(grid: GridSpec, time: float, step: int, params: Params, **extra) -> 
     }
 
 
-def _write_file(path: str, header: dict, payload: np.ndarray) -> None:
-    """Write through path + ".tmp" and os.replace: path is whole or absent.
-    payload is a C-contiguous array, written from its own buffer."""
+def replace_file(path: str, *chunks) -> None:
+    """Write the chunks (bytes, or C-contiguous arrays written from their own
+    buffers) to path + ".tmp", then os.replace it: path is whole or absent."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode())
-        fh.write(b"\n")
-        fh.write(payload)
+        for chunk in chunks:
+            fh.write(chunk)
     os.replace(tmp, path)
+
+
+def _write_file(path: str, header: dict, payload: np.ndarray) -> None:
+    replace_file(path, json.dumps(header, sort_keys=True).encode(), b"\n", payload)
 
 
 def _read_file(path: str) -> tuple[dict, bytes]:
@@ -96,31 +91,15 @@ def read_snapshot(path: str) -> tuple[Field3, dict]:
 
 
 class SnapshotWriter:
-    """File writer; runs on a dedicated worker when ACTIVEFLOW_THREADS >= 2.
-
-    Fields are immutable, so handing them to a background thread is safe.
-    close() drains pending writes.
-    """
-
-    def __init__(self):
-        self._pool = ThreadPoolExecutor(max_workers=1) if max_threads() >= 2 else None
-        self._pending = []
+    """Writes each snapshot at once, on the caller's thread; close() has
+    nothing left to do. It stays only because perfbench/tracer.py times the
+    stepping loop up to SnapshotWriter.close."""
 
     def submit(self, path, f, time, step, params):
-        if self._pool is None:
-            write_snapshot(path, f, time, step, params)
-        else:
-            self._pending.append(
-                self._pool.submit(write_snapshot, path, f, time, step, params)
-            )
+        write_snapshot(path, f, time, step, params)
 
     def close(self):
-        try:
-            for fut in self._pending:
-                fut.result()
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
+        pass
 
 
 # --- checkpoints ----------------------------------------------------------------
@@ -190,22 +169,16 @@ def load_checkpoint(out_dir: str, config_hash: str):
 
 # --- diagnostics CSV --------------------------------------------------------------
 
+# The scalar columns, in DiagnosticsRecord's field order; lp_0..lp_k_max follow.
+CSV_SCALARS = tuple(
+    f.name for f in dataclasses.fields(DiagnosticsRecord) if f.name != "lp_ladder"
+)
+
+
 def csv_header(k_max: int) -> str:
-    base = "t,mass,l2_to_const,linf,rho_min,rho_max,grad_l2,spectral_tail"
-    lps = ",".join(f"lp_{k}" for k in range(k_max + 1))
-    return f"{base},{lps}"
+    return ",".join([*CSV_SCALARS, *(f"lp_{k}" for k in range(k_max + 1))])
 
 
 def csv_row(record: DiagnosticsRecord) -> str:
-    cells = [
-        record.t,
-        record.mass,
-        record.l2_to_const,
-        record.linf,
-        record.rho_min,
-        record.rho_max,
-        record.grad_l2,
-        record.spectral_tail,
-        *record.lp_ladder,
-    ]
+    cells = [*(getattr(record, name) for name in CSV_SCALARS), *record.lp_ladder]
     return ",".join(repr(float(c)) for c in cells)

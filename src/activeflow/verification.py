@@ -30,7 +30,7 @@ from .equilibrium import (marginal_deviation, solve_stationary, spatial_average_
 from .errors import ActiveFlowError
 from .grid import (TWO_PI, ConstantData, GridSpec, Params, RandomBandlimitedData,
                    SingleModeData, make_grid, make_initial)
-from .oracle import OracleConfig, dense_poincare, exact_linear_solution, fd_run
+from .oracle import dense_poincare, exact_linear_solution, fd_run, stability_bound
 from .spectral import forward
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
@@ -93,11 +93,8 @@ def oracle_equivalence(params: Params) -> dict:
         for _, _, spec_final in states(f0, p, n_steps):
             pass
         # Keep the oracle's own time error well below its spatial error.
-        bound = g.dx**2 / (6.0 * max(p.de, 1.0))
-        n_fine = int(math.ceil(t_cmp / (bound / 50.0)))
-        fd_final = fd_run(
-            f0, p, t_cmp, OracleConfig(grid=g, dt_fine=t_cmp / n_fine)
-        )
+        n_fine = int(math.ceil(t_cmp / (stability_bound(g, p.de) / 50.0)))
+        fd_final = fd_run(f0, p, t_cmp, t_cmp / n_fine)
         diffs.append(_linf(spec_final.values - fd_final.values))
     orders = [
         math.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)

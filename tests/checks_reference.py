@@ -16,7 +16,7 @@ from activeflow.diagnostics import fit_decay_rate, truncation_energy_rescaled
 from activeflow.dynamics import rescale_field, run, step_count
 from activeflow.equilibrium import kappa, peclet_threshold
 from activeflow.grid import TWO_PI, Params, RandomBandlimitedData, SingleModeData, make_grid, make_initial
-from activeflow.oracle import OracleConfig, exact_linear_solution, fd_run
+from activeflow.oracle import exact_linear_solution, fd_run
 from activeflow.spectral import poincare_constant
 
 END_ONLY = 10**9
@@ -55,7 +55,7 @@ def oracle_detail(grid, params):
         spec_final = run(f0, p, t_cmp, END_ONLY).snapshots[-1]
         bound = g.dx**2 / (6.0 * max(p.de, 1.0))
         n_fine = int(math.ceil(t_cmp / (bound / 50.0)))
-        fd_final = fd_run(f0, p, t_cmp, OracleConfig(grid=g, dt_fine=t_cmp / n_fine))
+        fd_final = fd_run(f0, p, t_cmp, t_cmp / n_fine)
         diffs.append(_linf(spec_final.values - fd_final.values))
     orders = [math.log2(diffs[i] / diffs[i + 1]) for i in range(2)]
     return (

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import zlib
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import activeflow
 from activeflow import cli, dynamics
 from activeflow.cli import cmd_simulate, main
 from activeflow.config import load_config, parse_config
@@ -24,7 +27,6 @@ from activeflow.errors import NotConverged, ParseError, ValidationError
 from activeflow.grid import Params, make_grid, make_initial
 from activeflow.storage import (
     CHECKPOINT_NAME,
-    SnapshotWriter,
     csv_header,
     csv_row,
     read_snapshot,
@@ -106,6 +108,27 @@ def uninterrupted_window_run():
     with tempfile.TemporaryDirectory() as tmp:
         assert cmd_simulate(parse_config(window_doc(tmp))) == 0
         return output_files(tmp)
+
+
+# Run simulate on sys.argv[1] with each snapshot write slowed by 50 ms, and
+# end the process with os._exit right after its first checkpoint.
+KILL_AFTER_FIRST_CHECKPOINT = """
+import os, sys, time
+from activeflow import cli, storage
+
+write_snapshot, write_checkpoint = storage.write_snapshot, cli.write_checkpoint
+
+def slow_snapshot(*args):
+    time.sleep(0.05)
+    write_snapshot(*args)
+
+def checkpoint_then_exit(*args):
+    write_checkpoint(*args)
+    os._exit(0)
+
+storage.write_snapshot, cli.write_checkpoint = slow_snapshot, checkpoint_then_exit
+cli.main(["simulate", "--config", sys.argv[1]])
+"""
 
 
 class TestConfigParsing:
@@ -360,6 +383,34 @@ class TestSimulateCommand:
             read_snapshot(str(out / name))
         assert cmd_simulate(cfg) == 0
         assert output_files(doc["output_dir"]) == uninterrupted_window_run()
+
+    def test_kill_after_checkpoint_keeps_every_output_up_to_it(self, tmp_path):
+        # a child process with slow snapshot writes dies right after its first
+        # checkpoint: every snapshot up to that step is already on disk, and
+        # the rerun ends with the uninterrupted run's files. ACTIVEFLOW_THREADS
+        # is set, and must not move any write off the stepping thread.
+        doc = base_doc(grid={"n_x": 8, "n_theta": 8}, t_end=0.12,
+                       snapshot_stride=1, checkpoint_every=3)
+        killed = dict(doc, output_dir=str(tmp_path / "killed"))
+        full = dict(doc, output_dir=str(tmp_path / "full"))
+        src = os.path.dirname(os.path.dirname(activeflow.__file__))
+        env = dict(os.environ, ACTIVEFLOW_THREADS="2",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run(
+            [sys.executable, "-c", KILL_AFTER_FIRST_CHECKPOINT,
+             write_config(tmp_path, killed)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        out = tmp_path / "killed"
+        step = json.loads((out / CHECKPOINT_NAME).read_bytes().split(b"\n", 1)[0])["step"]
+        assert step == 3
+        assert sorted(path.name for path in out.glob("snap_*.bin")) == [
+            f"snap_{s:08d}.bin" for s in range(step + 1)
+        ]
+        assert cmd_simulate(parse_config(killed)) == 0
+        assert cmd_simulate(parse_config(full)) == 0
+        assert output_files(out) == output_files(tmp_path / "full")
 
     def test_blowup_rerun_leaves_no_success_summary(self, tmp_path, capsys):
         # a finished run, then one that blows up at step 1 in the same output_dir
@@ -651,17 +702,6 @@ class TestSimulateCommand:
         assert (rc, err["kind"]) == (2, "NotADirectoryError")
         assert "plain" in err["message"]
 
-    def test_failed_background_write_shuts_the_pool_down(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ACTIVEFLOW_THREADS", "2")
-        writer = SnapshotWriter()
-        f = random_field(make_grid(8, 8), seed=3)
-        writer.submit(str(tmp_path / "missing" / "snap.bin"), f, 0.0, 0,
-                      Params(pe=0.1, de=1.0, dt=0.01))
-        with pytest.raises(FileNotFoundError):
-            writer.close()
-        with pytest.raises(RuntimeError, match="after shutdown"):
-            writer._pool.submit(print)
-
     def test_truncation_summary_in_output(self, tmp_path):
         doc = base_doc(
             output_dir=str(tmp_path / "tr"),
@@ -761,13 +801,6 @@ class TestSimulateCommand:
         assert row_lo["spectral_tail"] == pytest.approx(1.0, rel=1e-12)
         assert row_hi["spectral_tail"] < 1e-20
 
-    def test_background_writer(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ACTIVEFLOW_THREADS", "4")
-        doc = base_doc(output_dir=str(tmp_path / "bg"), t_end=0.2)
-        assert cmd_simulate(parse_config(doc)) == 0
-        f, _ = read_snapshot(str(tmp_path / "bg" / "snap_00000020.bin"))
-        assert np.isfinite(f.values).all()
-
 
 class TestReportCommands:
     def test_decay_json(self, tmp_path, capsys):
@@ -864,3 +897,15 @@ class TestVerifyCommand:
         assert statuses[10] == "PASS"
         for skipped in (3, 6, 7, 8, 9):
             assert statuses[skipped] == "SKIP"
+
+    def test_too_few_points_for_criterion_5_is_a_fail_line(self, tmp_path, capsys):
+        # dt 1.0 leaves 6 strided points to t = 5: criterion 5 fails like 4
+        doc = base_doc(output_dir=str(tmp_path / "v"), grid={"n_x": 8, "n_theta": 8},
+                       params={"pe": 0.05, "de": 1.0, "dt": 1.0})
+        rc = main(["verify", "--config", write_config(tmp_path, doc)])
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[")]
+        assert rc == 1
+        assert [int(line.split()[1]) for line in lines] == list(range(1, 11))
+        assert lines[4].startswith("[FAIL]  5 ")
+        assert "TooFewPoints: need >= 10 snapshots, got 6" in lines[4]

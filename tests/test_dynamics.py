@@ -27,7 +27,7 @@ from activeflow.errors import (
     NumericalBlowup,
     RadiusTooLarge,
 )
-from activeflow.oracle import OracleConfig, exact_linear_solution, fd_rhs, fd_run
+from activeflow.oracle import exact_linear_solution, fd_rhs, fd_run
 from activeflow import dynamics, spectral
 from activeflow.spectral import _cache, forward, inverse, synthesize, x_inverse
 from advection_reference import (
@@ -369,9 +369,7 @@ class TestStepImex:
         f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 0)), grid16)
         params = Params(pe=0.05, de=1.0, dt=0.01)
         traj = run(f0, params, 1.0, snapshot_stride=10**9)
-        oracle = fd_run(
-            f0, params, 1.0, OracleConfig(grid=grid16, dt_fine=params.dt / 50.0)
-        )
+        oracle = fd_run(f0, params, 1.0, params.dt / 50.0)
         diff = np.abs(traj.snapshots[-1].values - oracle.values).max()
         assert diff <= 1e-4
 

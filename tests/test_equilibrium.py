@@ -21,7 +21,7 @@ from activeflow import (
 )
 from activeflow.dynamics import states, step_count
 from activeflow.equilibrium import marginal_deviation
-from activeflow.errors import NotConverged
+from activeflow.errors import NotConverged, TooFewPoints
 from activeflow.spectral import forward
 from checks_reference import spatial_average_decay as trajectory_average_decay
 from conftest import field_from, random_field
@@ -218,5 +218,5 @@ class TestSpatialAverageDecay:
         assert rate == pytest.approx(want_rate, rel=1e-9)
 
     def test_needs_ten_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewPoints):
             spatial_average_decay([0.1 * i for i in range(9)], [1.0] * 9)

@@ -13,7 +13,6 @@ from activeflow import (
 )
 from activeflow.errors import IterationStall
 from activeflow.oracle import (
-    OracleConfig,
     dense_poincare,
     exact_linear_solution,
     fd_rhs,
@@ -51,15 +50,13 @@ class TestFdRhs:
 class TestFdRun:
     def test_zero_horizon_identity(self, grid8):
         f0 = make_initial(ConstantData(m=1.0), grid8)
-        cfg = OracleConfig(grid=grid8, dt_fine=0.01)
-        out = fd_run(f0, Params(pe=0.1, de=1.0, dt=0.1), 0.0, cfg)
+        out = fd_run(f0, Params(pe=0.1, de=1.0, dt=0.1), 0.0, 0.01)
         assert np.array_equal(out.values, f0.values)
 
     def test_discrete_linear_decay(self, grid8):
         f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 0)), grid8)
         params = Params(pe=0.0, de=1.0, dt=0.1)
-        cfg = OracleConfig(grid=grid8, dt_fine=0.001)
-        out = fd_run(f0, params, 0.5, cfg)
+        out = fd_run(f0, params, 0.5, 0.001)
         dx = grid8.dx
         lam = (2.0 - 2.0 * math.cos(dx)) / dx**2
         base = 1.0 / TWO_PI**3
@@ -71,19 +68,18 @@ class TestFdRun:
 
     def test_exact_mass_conservation(self, grid8):
         f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 1, 1)), grid8)
-        cfg = OracleConfig(grid=grid8, dt_fine=0.01)
-        out = fd_run(f0, Params(pe=0.3, de=1.0, dt=0.1), 0.5, cfg)
+        out = fd_run(f0, Params(pe=0.3, de=1.0, dt=0.1), 0.5, 0.01)
         assert out.values.sum() == pytest.approx(f0.values.sum(), rel=1e-13)
 
     def test_stability_bound_enforced(self, grid8):
         f0 = make_initial(ConstantData(m=1.0), grid8)
-        cfg = OracleConfig(grid=grid8, dt_fine=1.0)
         with pytest.raises(ValueError):
-            fd_run(f0, Params(pe=0.0, de=1.0, dt=0.1), 0.5, cfg)
+            fd_run(f0, Params(pe=0.0, de=1.0, dt=0.1), 0.5, 1.0)
 
     def test_oracle_grid_capped(self):
+        f0 = make_initial(ConstantData(m=1.0), make_grid(32, 32))
         with pytest.raises(ValueError):
-            OracleConfig(grid=make_grid(32, 32), dt_fine=0.001)
+            fd_run(f0, Params(pe=0.0, de=1.0, dt=0.1), 0.5, 0.001)
 
 
 class TestEulerSpectral:

@@ -100,8 +100,7 @@ def run_commands(tmp_path):
     ]
 
 
-def test_every_function_is_reached(tmp_path, monkeypatch):
-    monkeypatch.delenv("ACTIVEFLOW_THREADS", raising=False)
+def test_every_function_is_reached(tmp_path):
     for name, module in list(sys.modules.items()):
         if name.startswith("activeflow"):  # a warm lru_cache skips its function
             for value in vars(module).values():
