@@ -69,7 +69,8 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     """Run a simulation, streaming diagnostics and snapshots to output_dir.
 
     A fresh run iterates dynamics.states, a resume continues dynamics.march
-    from the checkpoint's spectrum and ladder state, byte-identically. One
+    from the checkpoint's spectrum, ladder state and step-0 constants (mass,
+    cfl_dt_initial), byte-identically, and builds no initial data. One
     body serves every step, step 0 included: a diagnostics.csv row, and at
     strided steps a snapshot, fed to the truncation-ladder reducer. Every
     file is written on this thread, in step order: the CSV is flushed and the
@@ -90,12 +91,12 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     csv_path = os.path.join(config.output_dir, "diagnostics.csv")
     summary_path = os.path.join(config.output_dir, "summary.json")
 
-    f0 = make_initial(config.initial, grid)
-    mean0 = f0.mean()
     n_steps = step_count(config.t_end, params.dt)
-
     resume = load_checkpoint(config.output_dir, config.config_hash)
-    coeffs, start_step, ladder_state = resume or (None, 0, None)
+    if resume is None:  # a resume takes the step-0 constants from the checkpoint
+        f0 = make_initial(config.initial, grid)
+    coeffs, start_step, ladder_state, mean0, cfl0 = resume or (
+        None, 0, None, f0.mean(), cfl_dt(f0, params))
     if resume is not None and (ladder_state is None) != (config.truncation_window is None):
         raise ParseError("checkpoint truncation state must be null exactly when "
                          "the config has no truncation window")
@@ -118,7 +119,7 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
         if resume is None:
             steps = states(f0, params, n_steps)
         elif start_step < n_steps:
-            f = Field3(grid=grid, values=synthesize(coeffs, grid))
+            f = Field3.adopt(grid, synthesize(coeffs, grid))  # the crc32 vouches for it
             steps = march(f, params, n_steps, start_step, coeffs)
         else:  # a final-step resume: no step is left to take
             steps = ()
@@ -142,6 +143,7 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
                 write_checkpoint(
                     config.output_dir, coeffs, grid, t, step, params,
                     config.config_hash, None if ladder is None else ladder.state(),
+                    mean0, cfl0,
                 )
                 if step == stop_after_steps:
                     return 0
@@ -159,7 +161,7 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
         "peclet_threshold": threshold,
         "is_small_pe": abs(params.pe) < threshold,
         "final_l2_to_const": final_l2,
-        "cfl_dt_initial": cfl_dt(f0, params),
+        "cfl_dt_initial": cfl0,
     }
     if ladder is not None:
         summary["truncation"] = _truncation_summary(config, ladder)
@@ -169,13 +171,15 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
 
 
 def _cut_csv(csv_path: str, k_max: int, step: int) -> float:
-    """Cut diagnostics.csv back to a checkpoint's step through replace_file,
-    so an interruption leaves the old rows or the cut ones; return its l2_to_const."""
+    """Cut diagnostics.csv back to a checkpoint's step, unless it ends there,
+    through replace_file (an interruption leaves the old rows or the cut
+    ones); return its l2_to_const."""
     try:
-        with open(csv_path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except FileNotFoundError:
-        lines = []
+        text = ""
+    lines = text.splitlines()
     if len(lines) < step + 2 or lines[0] != csv_header(k_max):
         raise ParseError(
             f"{csv_path}: needs the header and {step + 1} rows to resume "
@@ -185,7 +189,9 @@ def _cut_csv(csv_path: str, k_max: int, step: int) -> float:
         l2 = float(lines[step + 1].split(",")[CSV_SCALARS.index("l2_to_const")])
     except (IndexError, ValueError) as exc:
         raise ParseError(f"{csv_path}: malformed row for step {step}") from exc
-    replace_file(csv_path, ("\n".join(lines[: step + 2]) + "\n").encode())  # header, rows
+    kept = "\n".join(lines[: step + 2]) + "\n"  # header, rows
+    if kept != text:
+        replace_file(csv_path, kept.encode())
     return l2
 
 

@@ -66,8 +66,7 @@ def l2_to_const(f: Field3, m: float) -> float:
 def grad_l2(abs_sq: np.ndarray, grid: GridSpec) -> float:
     """L2 norm of the space-angle gradient by Parseval, from the |coeffs|^2 of
     a mean-normalized half spectrum."""
-    c = _cache(grid.n_x, grid.n_theta)
-    return math.sqrt(float((TWO_PI**3 * c["mult"] * c["k_sq"] * abs_sq).sum()))
+    return math.sqrt(float((_cache(grid.n_x, grid.n_theta)["grad_weight"] * abs_sq).sum()))
 
 
 @lru_cache(maxsize=32)

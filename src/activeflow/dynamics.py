@@ -63,6 +63,15 @@ class Trajectory:
     diagnostics: list["diag.DiagnosticsRecord"]
 
 
+@lru_cache(maxsize=16)
+def _advection_symbols(n_x: int, n_theta: int, pe: float, dealias: bool):
+    """_advection_hat's a_lo and a_hi, built once per grid, pe and dealias."""
+    c, keep = _cache(n_x, n_theta), _band(n_x, n_theta, dealias)["keep"]
+    d1, d2 = c["d1"][keep], c["d2"][:, keep]
+    scale = -0.5j * pe / (n_x * n_x * n_theta)
+    return scale * (d1 - 1j * d2), scale * (d1 + 1j * d2)
+
+
 def _advection_hat(mixed: np.ndarray, grid: GridSpec, params: Params) -> np.ndarray:
     """Band block of the half spectrum of -Pe * div_x((1 - rho) f e(theta)),
     from at least the first _band(...)["mixed"] planes of f in mixed space.
@@ -88,9 +97,7 @@ def _advection_hat(mixed: np.ndarray, grid: GridSpec, params: Params) -> np.ndar
     spec = forward_band(product, b["keep"])
     edge_lo = spec[:, :, 1][b["neg"]].conj()
     edge_hi = spec[:, :, half - 2][b["neg"]].conj() if planes == half else None
-    scale = -0.5j * params.pe / (grid.n_x * grid.n_x * grid.n_theta)
-    a_lo = scale * b["d_lo"]
-    a_hi = scale * b["d_hi"]
+    a_lo, a_hi = _advection_symbols(grid.n_x, grid.n_theta, params.pe, params.dealias)
     out = np.empty(spec.shape[:2] + (planes,), dtype=spec.dtype)
     np.multiply(spec[:, :, : planes - 1], a_lo, out=out[:, :, 1:])
     out[:, :, 0] = a_lo[:, :, 0] * edge_lo

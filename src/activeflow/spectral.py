@@ -27,6 +27,7 @@ def _cache(n_x: int, n_theta: int):
     k1 = kx[:, None, None]
     k2 = kx[None, :, None]
     k3 = kth[None, None, :]
+    k_sq = k1**2 + k2**2 + k3**2
 
     # First derivatives zero the (signed-ambiguous) Nyquist mode.
     d1 = np.where(np.abs(kx) == n_x // 2, 0.0, kx)[:, None, None]
@@ -52,7 +53,8 @@ def _cache(n_x: int, n_theta: int):
         "d1": d1,
         "d2": d2,
         "d3": d3,
-        "k_sq": k1**2 + k2**2 + k3**2,
+        "k_sq": k_sq,
+        "grad_weight": TWO_PI**3 * mult[None, None, :] * k_sq,  # Parseval's, for grad_l2
         "kx_sq": k1**2 + k2**2,
         "band": band,
         "k3_full": kt,
@@ -72,20 +74,17 @@ def _band(n_x: int, n_theta: int, dealias: bool):
     block is keep x keep x [0, planes), and flat holds its flat indices in the
     half spectrum and flat_mixed in the advection's mixed planes (one more
     for the index shift, within the half spectrum). neg is the np.ix_ pair
-    that sends each kept x-wavenumber pair to its negative, and d_lo / d_hi
-    are d1 -/+ i d2 on the band.
+    that sends each kept x-wavenumber pair to its negative.
     """
     c = _cache(n_x, n_theta)
     half = n_theta // 2 + 1
     keep, planes = c["band"] if dealias else (np.arange(n_x), half)
     mixed = min(planes + 1, half)
     neg = -np.arange(keep.size) % keep.size
-    d1, d2 = c["d1"][keep], c["d2"][:, keep]
     block = np.ix_(keep, keep, np.arange(planes))
     return dict(keep=keep, planes=planes, mixed=mixed, neg=np.ix_(neg, neg),
                 flat=np.ravel_multi_index(block, (n_x, n_x, half)),
-                flat_mixed=np.ravel_multi_index(block, (n_x, n_x, mixed)),
-                d_lo=d1 - 1j * d2, d_hi=d1 + 1j * d2)
+                flat_mixed=np.ravel_multi_index(block, (n_x, n_x, mixed)))
 
 
 def forward(f: Field3) -> np.ndarray:
@@ -136,12 +135,12 @@ def inverse(coeffs: np.ndarray, grid: GridSpec) -> Field3:
 
 
 def poincare_constant(grid: GridSpec) -> float:
-    """1/sqrt(lambda_1) with lambda_1 the smallest nonzero |k|^2 on the grid.
+    """1/sqrt(lambda_1) with lambda_1 the smallest nonzero |k|^2 on the grid,
+    which is one axis's smallest nonzero k^2: that axis's mode attains it.
 
     Every admissible grid represents the modes |k| = 1, so this is 1.0; the
     dense power-iteration oracle cross-checks the value on small grids.
     """
     c = _cache(grid.n_x, grid.n_theta)
-    k_sq = c["k_sq"]
-    lam1 = float(k_sq[k_sq > 0].min())
-    return 1.0 / math.sqrt(lam1)
+    squares = np.concatenate([c["k1"].ravel(), c["k3"].ravel()]) ** 2
+    return 1.0 / math.sqrt(float(squares[squares > 0].min()))

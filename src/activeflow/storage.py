@@ -2,21 +2,23 @@
 
 Snapshot files are a single JSON header line followed by the raw contiguous
 float64 payload (little-endian, row-major i1, i2, i_theta), trivially
-parseable from any language. Checkpoints (format 3) carry the run's
+parseable from any language. Checkpoints (format 4) carry the run's
 mean-normalized half spectrum instead (complex128, little-endian, row-major
 i1, i2, k_theta); their header adds the config hash, the truncation-ladder
-state as JSON floats (repr round-trips exactly) and a crc32 that seals the
-header with the payload, so a resumed run continues byte-identically or
-not at all. Every file a run writes goes through replace_file: a ".tmp"
-sibling moved into place with os.replace, so an interrupted write leaves no
-partial file. All of it is written on the stepping thread, in step order, so
-a checkpoint reaches disk only after every output up to its step.
+state and the run's step-0 mass and cfl_dt_initial as JSON floats (repr
+round-trips exactly) and a crc32 that seals the header with the payload, so
+a resumed run continues byte-identically or not at all. Every file a run
+writes goes through replace_file: a ".tmp" sibling moved into place with
+os.replace, so an interrupted write leaves no partial file. All of it is
+written on the stepping thread, in step order, so a checkpoint reaches disk
+only after every output up to its step.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import zlib
 
@@ -27,7 +29,7 @@ from .errors import CheckpointMismatch, ParseError
 from .grid import Field3, GridSpec, Params
 
 FORMAT_VERSION = 1
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 
 
 def _header(grid: GridSpec, time: float, step: int, params: Params, **extra) -> dict:
@@ -115,25 +117,29 @@ def _seal(header: dict, payload) -> int:
 
 
 def write_checkpoint(out_dir: str, coeffs: np.ndarray, grid: GridSpec, time: float,
-                     step: int, params: Params, config_hash: str, truncation=None) -> None:
-    """Write the carried half spectrum and ladder state, sealed, atomically."""
+                     step: int, params: Params, config_hash: str, truncation,
+                     mass: float, cfl_dt_initial: float) -> None:
+    """Write the carried half spectrum, ladder state and step-0 constants, sealed."""
     payload = np.ascontiguousarray(coeffs, dtype="<c16")
     header = _header(
         grid, time, step, params, format_version=CHECKPOINT_FORMAT,
         element_type="complex128", layout="row-major i1,i2,ktheta mean-normalized",
         checkpoint=True, config_hash=config_hash, truncation=truncation,
+        mass=mass, cfl_dt_initial=cfl_dt_initial,
     )
     header["crc32"] = _seal(header, payload)
     _write_file(os.path.join(out_dir, CHECKPOINT_NAME), header, payload)
 
 
 def load_checkpoint(out_dir: str, config_hash: str):
-    """Return (half spectrum, step, truncation state) or None.
+    """Return (half spectrum, step, truncation state, mass, cfl_dt_initial)
+    or None: with diagnostics.csv, all a resume reads.
 
-    CheckpointMismatch for another format or config; ParseError if corrupt
-    (the crc32 does not match the header and payload), or if step is not a
-    JSON integer >= 0. The truncation state is checked against the config
-    by its consumer, diagnostics.TruncationReducer.
+    CheckpointMismatch for another format (1 to 3 included) or config;
+    ParseError if corrupt (the crc32 does not match the header and payload),
+    if step is not a JSON integer >= 0, or if mass and cfl_dt_initial are not
+    finite JSON numbers, cfl_dt_initial > 0. The truncation state is checked
+    against the config by its consumer, diagnostics.TruncationReducer.
     """
     path = os.path.join(out_dir, CHECKPOINT_NAME)
     if not os.path.exists(path):
@@ -152,11 +158,13 @@ def load_checkpoint(out_dir: str, config_hash: str):
     try:
         grid = GridSpec(header["n_x"], header["n_theta"])
         step, crc = header["step"], header["crc32"]
-        truncation = header["truncation"]
+        truncation, mass, cfl0 = header["truncation"], header["mass"], header["cfl_dt_initial"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed checkpoint header ({exc!r})") from exc
     if type(step) is not int or step < 0:  # a JSON bool loads as bool, not int
         raise ParseError(f"{path}: step {step!r} is not an integer >= 0")
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in (mass, cfl0)) or cfl0 <= 0:
+        raise ParseError(f"{path}: bad step-0 mass {mass!r} or cfl_dt_initial {cfl0!r}")
     shape = (grid.n_x, grid.n_x, grid.n_theta // 2 + 1)
     expected = 16 * shape[0] * shape[1] * shape[2]
     if len(payload) != expected:
@@ -164,7 +172,7 @@ def load_checkpoint(out_dir: str, config_hash: str):
     if _seal(header, payload) != crc:
         raise ParseError(f"{path}: checksum does not match the header and payload")
     coeffs = np.frombuffer(payload, dtype="<c16").reshape(shape)
-    return coeffs, step, truncation
+    return coeffs, step, truncation, mass, cfl0
 
 
 # --- diagnostics CSV --------------------------------------------------------------

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,9 +99,9 @@ def header_edit(reseal=True, **fields):
 
 
 # the keys of a checkpoint header
-HEADER_KEYS = {"byte_order", "checkpoint", "config_hash", "crc32", "element_type",
-               "format_version", "layout", "n_theta", "n_x", "params", "step", "time",
-               "truncation"}
+HEADER_KEYS = {"byte_order", "cfl_dt_initial", "checkpoint", "config_hash", "crc32",
+               "element_type", "format_version", "layout", "mass", "n_theta", "n_x",
+               "params", "step", "time", "truncation"}
 
 
 @functools.lru_cache(maxsize=1)
@@ -108,6 +109,34 @@ def uninterrupted_window_run():
     with tempfile.TemporaryDirectory() as tmp:
         assert cmd_simulate(parse_config(window_doc(tmp))) == 0
         return output_files(tmp)
+
+
+# initial data of the window run, by kind
+INITIAL = {
+    "single_mode": {"kind": "single_mode", "m": 1.0, "epsilon": 0.5, "mode": [1, 0, 0]},
+    "random_bandlimited": {"kind": "random_bandlimited", "m": 1.0, "epsilon": 0.3,
+                           "max_mode": 2, "seed": 4},
+}
+
+
+@functools.lru_cache(maxsize=2)
+def uninterrupted_run_of(kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert cmd_simulate(parse_config(window_doc(tmp, initial=INITIAL[kind]))) == 0
+        return output_files(tmp)
+
+
+def resealed(edit):
+    """Like header_edit, for an edit that removes fields: apply edit to the
+    loaded header, then reseal it."""
+    def damaged(data):
+        line, payload = data.split(b"\n", 1)
+        header = json.loads(line)
+        edit(header)
+        header["crc32"] = seal(header, payload)
+        return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+
+    return damaged
 
 
 # Run simulate on sys.argv[1] with each snapshot write slowed by 50 ms, and
@@ -332,6 +361,35 @@ class TestSimulateCommand:
             assert cmd_simulate(cfg, stop_after_steps=stop) == 0
             assert cmd_simulate(cfg) == 0
             assert output_files(tmp) == uninterrupted_window_run()
+
+    @settings(max_examples=12, deadline=None)
+    @given(stop=st.integers(1, 12), kind=st.sampled_from(sorted(INITIAL)))
+    def test_resume_builds_no_initial_data(self, stop, kind):
+        # the resume reads the step-0 mass and CFL bound from the checkpoint
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = parse_config(window_doc(tmp, initial=INITIAL[kind]))
+            assert cmd_simulate(cfg, stop_after_steps=stop) == 0
+            rebuilt = AssertionError("a resume rebuilt the initial data")
+            with mock.patch.object(cli, "make_initial", side_effect=rebuilt):
+                assert cmd_simulate(cfg) == 0
+            assert output_files(tmp) == uninterrupted_run_of(kind)
+
+    def test_final_step_rerun_rewrites_no_csv(self, tmp_path):
+        # checkpoints at steps 4, 8 and 12 of 12: a rerun resumes at the final
+        # step, with no step to take and no CSV row to cut
+        out = tmp_path / "done"
+        cfg = parse_config(window_doc(str(out), checkpoint_every=4))
+        assert cmd_simulate(cfg) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        header = json.loads((out / CHECKPOINT_NAME).read_bytes().split(b"\n", 1)[0])
+        assert (header["step"], header["mass"], header["cfl_dt_initial"]) == (
+            12, summary["mass"], summary["cfl_dt_initial"])
+        csv_before, files = os.stat(out / "diagnostics.csv"), output_files(out)
+        assert cmd_simulate(cfg) == 0
+        csv_after = os.stat(out / "diagnostics.csv")
+        assert (csv_after.st_ino, csv_after.st_mtime_ns) == (
+            csv_before.st_ino, csv_before.st_mtime_ns)
+        assert output_files(out) == files == uninterrupted_window_run()
 
     def test_zero_step_run_reports_final_l2(self, tmp_path):
         doc = base_doc(output_dir=str(tmp_path / "z"), t_end=0.0)
@@ -585,6 +643,31 @@ class TestSimulateCommand:
         assert self._damaged_checkpoint(tmp_path, capsys, as_format_2) == (
             2, "CheckpointMismatch"
         )
+
+    def test_format_3_checkpoint_refused(self, tmp_path, capsys):
+        # format 3 sealed the same header without the step-0 constants
+        def as_format_3(header):
+            del header["mass"], header["cfl_dt_initial"]
+            header["format_version"] = 3
+
+        assert self._damaged_checkpoint(tmp_path, capsys, resealed(as_format_3)) == (
+            2, "CheckpointMismatch"
+        )
+
+    @pytest.mark.parametrize("key,value", [
+        *((key, value) for key in ("mass", "cfl_dt_initial")
+          for value in ("1.0", None, math.nan, math.inf, -math.inf, True, False, [])),
+        ("cfl_dt_initial", 0.0),
+        ("cfl_dt_initial", -0.01),
+    ])
+    def test_bad_step0_constants_refused(self, tmp_path, capsys, key, value):
+        damage = header_edit(**{key: value})
+        assert self._damaged_checkpoint(tmp_path, capsys, damage) == (2, "ParseError")
+
+    @pytest.mark.parametrize("key", ["mass", "cfl_dt_initial"])
+    def test_missing_step0_constant_refused(self, tmp_path, capsys, key):
+        damage = resealed(lambda header: header.pop(key))
+        assert self._damaged_checkpoint(tmp_path, capsys, damage) == (2, "ParseError")
 
     @settings(max_examples=40, deadline=None)
     @given(stop=st.integers(1, 12), key=st.sampled_from(sorted(HEADER_KEYS)),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from activeflow import (
     Field3,
@@ -163,6 +165,15 @@ class TestPoincare:
     def test_value_is_one(self):
         for nx, nt in ((4, 4), (8, 8), (32, 16)):
             assert poincare_constant(make_grid(nx, nt)) == pytest.approx(1.0, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_x=st.integers(2, 32).map(lambda h: 2 * h),
+           n_theta=st.integers(2, 32).map(lambda h: 2 * h))
+    def test_equals_the_full_spectrum_minimum(self, n_x, n_theta):
+        # the 1-D tables give exactly what a mask over the whole k_sq table gives
+        k_sq = _cache(n_x, n_theta)["k_sq"]
+        want = 1.0 / math.sqrt(float(k_sq[k_sq > 0].min()))
+        assert poincare_constant(make_grid(n_x, n_theta)) == want
 
     def test_lowest_mode_ratio(self, grid32):
         u = field_from(grid32, lambda x1, x2, th: np.cos(x1))
