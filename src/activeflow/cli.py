@@ -17,6 +17,7 @@ import math
 import os
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -80,7 +81,8 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     (ParseError, every file left as it is) are a header step or ladder state
     that does not fit the config and a diagnostics.csv without the header or
     a row up to its step. summary.json is written last, through
-    storage.replace_file, and a fresh start removes the previous one and
+    storage.replace_file unless it already holds these bytes (so a final-step
+    rerun writes nothing), and a fresh start removes the previous one and
     every snap_*.bin(.tmp), so each output is this run's and the summary
     whole or absent. The stop_after_steps hook halts after a checkpoint at
     that step; it exists for interruption/resume testing and is not exposed
@@ -165,8 +167,9 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
     }
     if ladder is not None:
         summary["truncation"] = _truncation_summary(config, ladder)
-    text = json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n"
-    replace_file(summary_path, text.encode())
+    data = (json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n").encode()
+    if not os.path.exists(summary_path) or Path(summary_path).read_bytes() != data:
+        replace_file(summary_path, data)
     return 0
 
 

@@ -23,10 +23,10 @@ x forward of each stage, and the irfft that gives the new state its samples
 (its x inverse is the next stage-1 input).
 
 The advection increments stay band-resident: _advection_hat returns only the
-band block (spectral._band), and the step applies it to the gathered band
-modes after one semigroup multiply over the whole spectrum per stage. The
-per-grid tables (band indices, d1 -/+ i d2, the semigroup on the band) are
-built once. Each new state is a Field3 over the theta inverse's array itself,
+band block, and the step applies it to the gathered band modes after one
+semigroup multiply over the whole spectrum per stage. Their tables (band
+indices, d1 -/+ i d2, the semigroup) are one plan, _plan, built once per grid
+and params. Each new state is a Field3 over the theta inverse's array itself,
 with no copy; its sup norm (the blowup check) is computed once, and the
 diagnostics record reads it.
 """
@@ -44,7 +44,7 @@ import numpy as np
 from . import diagnostics as diag
 from .errors import AdmissibilityViolation, NumericalBlowup, RadiusTooLarge
 from .grid import Field3, GridSpec, Params, check_admissible
-from .spectral import _band, _cache, forward, forward_band, inverse, theta_inverse, x_inverse
+from .spectral import _cache, forward, forward_band, inverse, theta_inverse, x_inverse
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,43 @@ class Trajectory:
 
 
 @lru_cache(maxsize=16)
-def _advection_symbols(n_x: int, n_theta: int, pe: float, dealias: bool):
-    """_advection_hat's a_lo and a_hi, built once per grid, pe and dealias."""
-    c, keep = _cache(n_x, n_theta), _band(n_x, n_theta, dealias)["keep"]
+def _plan(grid: GridSpec, params: Params) -> dict:
+    """The stepper's tables, built once per grid and params.
+
+    keep (x-wavenumber indices, fftfreq order) and planes (theta planes) span
+    the 2/3 band with dealias and the whole half spectrum without; the band
+    block is keep x keep x [0, planes), and flat holds its flat indices in the
+    half spectrum and flat_mixed in the advection's mixed planes (one more
+    for the index shift, within the half spectrum). neg is the np.ix_ pair
+    that sends each kept x-wavenumber pair to its negative. a_lo and a_hi are
+    _advection_hat's symbols on the band; e_mixed is exp(L dt/2) on the mixed
+    planes and e_full exp(L dt), for L = -(de |k_x|^2 + k_theta^2), and
+    band_half and band_dt_half are exp(L dt/2) and dt exp(L dt/2) on the band.
+    """
+    n_x, n_theta, dt = grid.n_x, grid.n_theta, params.dt
+    c, half = _cache(n_x, n_theta), n_theta // 2 + 1
+    keep, planes = c["band"] if params.dealias else (np.arange(n_x), half)
+    mixed = min(planes + 1, half)
+    neg = -np.arange(keep.size) % keep.size
+    block = np.ix_(keep, keep, np.arange(planes))
+    flat = np.ravel_multi_index(block, (n_x, n_x, half))
     d1, d2 = c["d1"][keep], c["d2"][:, keep]
-    scale = -0.5j * pe / (n_x * n_x * n_theta)
-    return scale * (d1 - 1j * d2), scale * (d1 + 1j * d2)
+    scale = -0.5j * params.pe / (n_x * n_x * n_theta)
+    sym = -(params.de * c["kx_sq"] + c["k3"] ** 2)
+    e_half = np.exp(0.5 * dt * sym)
+    return dict(keep=keep, planes=planes, mixed=mixed, neg=np.ix_(neg, neg), flat=flat,
+                flat_mixed=np.ravel_multi_index(block, (n_x, n_x, mixed)),
+                a_lo=scale * (d1 - 1j * d2), a_hi=scale * (d1 + 1j * d2),
+                e_mixed=np.ascontiguousarray(e_half[:, :, :mixed]),
+                e_full=e_half * e_half, band_half=e_half.take(flat),
+                band_dt_half=(dt * e_half).take(flat))
 
 
 def _advection_hat(mixed: np.ndarray, grid: GridSpec, params: Params) -> np.ndarray:
     """Band block of the half spectrum of -Pe * div_x((1 - rho) f e(theta)),
-    from at least the first _band(...)["mixed"] planes of f in mixed space.
+    from at least the first _plan(...)["mixed"] planes of f in mixed space.
 
-    The block is keep x keep x [0, planes) of spectral._band: the 2/3 band
+    The block is keep x keep x [0, planes) of _plan: the 2/3 band
     with dealias, the whole half spectrum without; the advection is zero on
     every other mode, and at k = 0. rho is plane 0 times dtheta, and (1 - rho)
     times the planes, made real at theta modes 0 and n_theta/2, is the rfft
@@ -86,18 +110,17 @@ def _advection_hat(mixed: np.ndarray, grid: GridSpec, params: Params) -> np.ndar
     a_lo/hi = -Pe (d1 -/+ i d2) / (2 n_total); past the edges, B[-1] and
     B[n_theta/2+1] are the conjugates at -k_x of planes 1 and n_theta/2 - 1.
     """
-    b = _band(grid.n_x, grid.n_theta, params.dealias)
+    p = _plan(grid, params)
     half = grid.n_theta // 2 + 1
-    planes, n_mixed = b["planes"], b["mixed"]
+    planes, n_mixed, a_lo, a_hi = p["planes"], p["mixed"], p["a_lo"], p["a_hi"]
     rho = mixed[:, :, 0].real * grid.dtheta
     product = (1.0 - rho)[:, :, None] * mixed[:, :, :n_mixed]
     product[:, :, 0].imag = 0.0
     if n_mixed == half:
         product[:, :, -1].imag = 0.0
-    spec = forward_band(product, b["keep"])
-    edge_lo = spec[:, :, 1][b["neg"]].conj()
-    edge_hi = spec[:, :, half - 2][b["neg"]].conj() if planes == half else None
-    a_lo, a_hi = _advection_symbols(grid.n_x, grid.n_theta, params.pe, params.dealias)
+    spec = forward_band(product, p["keep"])
+    edge_lo = spec[:, :, 1][p["neg"]].conj()
+    edge_hi = spec[:, :, half - 2][p["neg"]].conj() if planes == half else None
     out = np.empty(spec.shape[:2] + (planes,), dtype=spec.dtype)
     np.multiply(spec[:, :, : planes - 1], a_lo, out=out[:, :, 1:])
     out[:, :, 0] = a_lo[:, :, 0] * edge_lo
@@ -114,7 +137,7 @@ def rhs_hat(coeffs: np.ndarray, grid: GridSpec, params: Params) -> np.ndarray:
     times coeffs, plus the advection on its band from x_inverse(coeffs)."""
     c = _cache(grid.n_x, grid.n_theta)
     out = -(params.de * c["kx_sq"] + c["k3"] ** 2) * coeffs
-    flat = _band(grid.n_x, grid.n_theta, params.dealias)["flat"]
+    flat = _plan(grid, params)["flat"]
     np.put(out, flat, out.take(flat) + _advection_hat(x_inverse(coeffs, grid), grid, params))
     return out
 
@@ -131,19 +154,6 @@ def cfl_dt(f: Field3, params: Params) -> float:
     return 0.25 * f.grid.dx / max(speed, 1e-12)
 
 
-@lru_cache(maxsize=16)
-def _semigroup(n_x: int, n_theta: int, de: float, dt: float, dealias: bool):
-    """exp(L dt/2) on the mixed planes and exp(L dt) for L = -(de |k_x|^2 +
-    k_theta^2), then exp(L dt/2) and dt exp(L dt/2) on the advection band."""
-    c = _cache(n_x, n_theta)
-    sym = -(de * c["kx_sq"] + c["k3"] ** 2)
-    half = np.exp(0.5 * dt * sym)
-    b = _band(n_x, n_theta, dealias)
-    flat = b["flat"]
-    return (np.ascontiguousarray(half[:, :, : b["mixed"]]), half * half,
-            half.take(flat), (dt * half).take(flat))
-
-
 def _step_spectral(coeffs: np.ndarray, k1: np.ndarray, grid: GridSpec,
                    params: Params) -> np.ndarray:
     """One integrating-factor midpoint step from coeffs, whose stage-1
@@ -157,17 +167,13 @@ def _step_spectral(coeffs: np.ndarray, k1: np.ndarray, grid: GridSpec,
     checkpoint that stores it, is the formula's. The midpoint needs no such
     pass: the sign of a zero changes no sum that has a nonzero term.
     """
-    dt = params.dt
-    e_mixed, e_full, band_half, band_dt_half = _semigroup(
-        grid.n_x, grid.n_theta, params.de, dt, params.dealias
-    )
-    b = _band(grid.n_x, grid.n_theta, params.dealias)
-    flat = b["flat"]
-    mid = e_mixed * coeffs[:, :, : b["mixed"]]
-    np.put(mid, b["flat_mixed"], band_half * (coeffs.take(flat) + 0.5 * dt * k1))
+    p, dt = _plan(grid, params), params.dt
+    flat = p["flat"]
+    mid = p["e_mixed"] * coeffs[:, :, : p["mixed"]]
+    np.put(mid, p["flat_mixed"], p["band_half"] * (coeffs.take(flat) + 0.5 * dt * k1))
     k2 = _advection_hat(x_inverse(mid, grid), grid, params)
-    out = e_full * coeffs
-    band = out.take(flat) + band_dt_half * k2
+    out = p["e_full"] * coeffs
+    band = out.take(flat) + p["band_dt_half"] * k2
     out += 0.0
     np.put(out, flat, band)
     return out

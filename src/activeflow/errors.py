@@ -58,15 +58,11 @@ class IterationStall(ActiveFlowError):
     """Power iteration failed to converge within the iteration budget."""
 
 
-class ConfigError(ActiveFlowError):
-    """Base class for configuration problems."""
-
-
-class ParseError(ConfigError):
+class ParseError(ActiveFlowError):
     """Config file is not valid JSON or a field has the wrong type."""
 
 
-class ValidationError(ConfigError):
+class ValidationError(ActiveFlowError):
     """Config parsed but a field value violates its constraints."""
 
 

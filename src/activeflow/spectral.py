@@ -1,4 +1,4 @@
-"""Real 3D Fourier transforms, the advection band tables, and the Poincare constant.
+"""Real 3D Fourier transforms, the per-grid tables, and the Poincare constant.
 
 Transforms are normalized so the zero-mode coefficient equals the grid mean
 of the field; mass conservation then reduces to one coefficient staying put.
@@ -6,6 +6,8 @@ The angle axis is the real-transform (half-spectrum) axis. The inverse is
 split as irfftn runs it, x_inverse then theta_inverse; between them lies
 mixed space, physical in x and half-spectral in theta, where the advection
 product is taken, and forward_band is the x-only way back on the 2/3 band.
+The stepper's band tables are built from _cache's band, once per grid and
+params, in dynamics._plan.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .grid import TWO_PI, Field3, GridSpec
 
 @lru_cache(maxsize=32)
 def _cache(n_x: int, n_theta: int):
-    """Per-grid wavenumber arrays, the 2/3 band, and angle samples."""
+    """Per-grid wavenumber arrays, the 2/3 band, and angle samples; the one
+    mask table per grid, from which dynamics._plan takes its band tables."""
     kx = np.fft.fftfreq(n_x, d=1.0 / n_x).astype(np.float64)
     kth = np.arange(n_theta // 2 + 1, dtype=np.float64)
 
@@ -63,28 +66,6 @@ def _cache(n_x: int, n_theta: int):
         "cos_theta": np.cos(theta),
         "sin_theta": np.sin(theta),
     }
-
-
-@lru_cache(maxsize=32)
-def _band(n_x: int, n_theta: int, dealias: bool):
-    """The advection's band tables, built once per grid and dealias setting.
-
-    keep (x-wavenumber indices, fftfreq order) and planes (theta planes) span
-    the 2/3 band with dealias and the whole half spectrum without; the band
-    block is keep x keep x [0, planes), and flat holds its flat indices in the
-    half spectrum and flat_mixed in the advection's mixed planes (one more
-    for the index shift, within the half spectrum). neg is the np.ix_ pair
-    that sends each kept x-wavenumber pair to its negative.
-    """
-    c = _cache(n_x, n_theta)
-    half = n_theta // 2 + 1
-    keep, planes = c["band"] if dealias else (np.arange(n_x), half)
-    mixed = min(planes + 1, half)
-    neg = -np.arange(keep.size) % keep.size
-    block = np.ix_(keep, keep, np.arange(planes))
-    return dict(keep=keep, planes=planes, mixed=mixed, neg=np.ix_(neg, neg),
-                flat=np.ravel_multi_index(block, (n_x, n_x, half)),
-                flat_mixed=np.ravel_multi_index(block, (n_x, n_x, mixed)))
 
 
 def forward(f: Field3) -> np.ndarray:

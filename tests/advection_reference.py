@@ -9,6 +9,8 @@ reference_mixed_step are the integrating-factor midpoint step written over
 whole half-spectrum arrays, the advection increments zero off the band: the
 first with the physical product, which march must match to rounding, the
 second with the mixed-space one, which march must match bit for bit.
+reference_band, reference_semigroup and reference_advection_symbols are the
+stepper's tables as three per-table builds, which dynamics._plan must equal.
 """
 
 import numpy as np
@@ -102,3 +104,40 @@ def reference_mixed_step(coeffs, grid, params):
     """One midpoint step with the mixed-space product: each stage x-inverted."""
     return _midpoint_step(coeffs, grid, params, lambda spec: reference_mixed_advection_hat(
         x_inverse(spec, grid), grid, params))
+
+
+def reference_band(n_x, n_theta, dealias):
+    """The advection's band tables, per grid and dealias setting: keep and
+    planes span the band block keep x keep x [0, planes), flat and flat_mixed
+    are its flat indices in the half spectrum and the mixed planes, neg sends
+    each kept x-wavenumber pair to its negative."""
+    c = _cache(n_x, n_theta)
+    half = n_theta // 2 + 1
+    keep, planes = c["band"] if dealias else (np.arange(n_x), half)
+    mixed = min(planes + 1, half)
+    neg = -np.arange(keep.size) % keep.size
+    block = np.ix_(keep, keep, np.arange(planes))
+    return dict(keep=keep, planes=planes, mixed=mixed, neg=np.ix_(neg, neg),
+                flat=np.ravel_multi_index(block, (n_x, n_x, half)),
+                flat_mixed=np.ravel_multi_index(block, (n_x, n_x, mixed)))
+
+
+def reference_semigroup(n_x, n_theta, de, dt, dealias):
+    """e_mixed, e_full, band_half, band_dt_half: exp(L dt/2) on the mixed
+    planes and exp(L dt) for L = -(de |k_x|^2 + k_theta^2), then exp(L dt/2)
+    and dt exp(L dt/2) on the advection band."""
+    c = _cache(n_x, n_theta)
+    sym = -(de * c["kx_sq"] + c["k3"] ** 2)
+    half = np.exp(0.5 * dt * sym)
+    b = reference_band(n_x, n_theta, dealias)
+    flat = b["flat"]
+    return (np.ascontiguousarray(half[:, :, : b["mixed"]]), half * half,
+            half.take(flat), (dt * half).take(flat))
+
+
+def reference_advection_symbols(n_x, n_theta, pe, dealias):
+    """a_lo and a_hi, -Pe (d1 -/+ i d2) / (2 n_total) on the band."""
+    c, keep = _cache(n_x, n_theta), reference_band(n_x, n_theta, dealias)["keep"]
+    d1, d2 = c["d1"][keep], c["d2"][:, keep]
+    scale = -0.5j * pe / (n_x * n_x * n_theta)
+    return scale * (d1 - 1j * d2), scale * (d1 + 1j * d2)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import activeflow
-from activeflow import cli, dynamics
+from activeflow import cli, config, dynamics
 from activeflow.cli import cmd_simulate, main
 from activeflow.config import load_config, parse_config
 from activeflow.diagnostics import _spectral_grads as spectral_grads
@@ -365,13 +365,17 @@ class TestSimulateCommand:
     @settings(max_examples=12, deadline=None)
     @given(stop=st.integers(1, 12), kind=st.sampled_from(sorted(INITIAL)))
     def test_resume_builds_no_initial_data(self, stop, kind):
-        # the resume reads the step-0 mass and CFL bound from the checkpoint
+        # the resume reads the step-0 mass and CFL bound from the checkpoint,
+        # and a fixed dt makes loading the config build none either
         with tempfile.TemporaryDirectory() as tmp:
-            cfg = parse_config(window_doc(tmp, initial=INITIAL[kind]))
-            assert cmd_simulate(cfg, stop_after_steps=stop) == 0
+            doc = window_doc(tmp, initial=INITIAL[kind])
+            assert cmd_simulate(parse_config(doc), stop_after_steps=stop) == 0
+            path = write_config(pathlib.Path(tmp), doc)
             rebuilt = AssertionError("a resume rebuilt the initial data")
-            with mock.patch.object(cli, "make_initial", side_effect=rebuilt):
-                assert cmd_simulate(cfg) == 0
+            with mock.patch.object(cli, "make_initial", side_effect=rebuilt), \
+                    mock.patch.object(config, "make_initial", side_effect=rebuilt):
+                assert main(["simulate", "--config", path]) == 0
+            os.remove(path)
             assert output_files(tmp) == uninterrupted_run_of(kind)
 
     def test_final_step_rerun_rewrites_no_csv(self, tmp_path):
@@ -385,10 +389,12 @@ class TestSimulateCommand:
         assert (header["step"], header["mass"], header["cfl_dt_initial"]) == (
             12, summary["mass"], summary["cfl_dt_initial"])
         csv_before, files = os.stat(out / "diagnostics.csv"), output_files(out)
+        summary_ino = os.stat(out / "summary.json").st_ino
         assert cmd_simulate(cfg) == 0
         csv_after = os.stat(out / "diagnostics.csv")
         assert (csv_after.st_ino, csv_after.st_mtime_ns) == (
             csv_before.st_ino, csv_before.st_mtime_ns)
+        assert os.stat(out / "summary.json").st_ino == summary_ino
         assert output_files(out) == files == uninterrupted_window_run()
 
     def test_zero_step_run_reports_final_l2(self, tmp_path):
@@ -520,11 +526,13 @@ class TestSimulateCommand:
         self, tmp_path, monkeypatch, capsys, resumed
     ):
         # a rerun fails at the summary's rename: a final-step resume keeps the
-        # finished run's summary whole, a fresh start has removed it
+        # stale summary it must replace whole, a fresh start has removed it
         doc = window_doc(str(tmp_path / "sum"), checkpoint_every=12 if resumed else 0)
         path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", path]) == 0
         summary = tmp_path / "sum" / "summary.json"
+        if resumed:  # a final-step resume writes no summary that is up to date
+            summary.write_bytes(summary.read_bytes() + b" ")
         old = summary.read_bytes()
         real_replace = os.replace
 

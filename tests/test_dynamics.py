@@ -33,8 +33,11 @@ from activeflow.spectral import _cache, forward, inverse, synthesize, x_inverse
 from advection_reference import (
     dealias_mask,
     embed,
+    reference_advection_symbols,
+    reference_band,
     reference_mixed_advection_hat,
     reference_mixed_step,
+    reference_semigroup,
     reference_step_spectral,
 )
 from conftest import field_from
@@ -102,6 +105,44 @@ class TestAdvectionShift:
         out = embed(_advection_hat(mixed, grid, params), grid, dealias)
         assert out[0, 0, 0] == 0.0
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestPlan:
+    """One table build per (grid, params), equal to the per-table builds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_x=st.integers(2, 8).map(lambda k: 2 * k),
+        n_theta=st.integers(2, 8).map(lambda k: 2 * k),
+        dealias=st.booleans(),
+        pe=st.floats(-3.0, 3.0),
+        de=st.floats(0.01, 5.0),
+        dt=st.floats(1e-4, 0.5),
+    )
+    @example(n_x=8, n_theta=4, dealias=True, pe=0.7, de=1.0, dt=0.01)
+    @example(n_x=4, n_theta=16, dealias=False, pe=-1.3, de=0.5, dt=0.1)
+    def test_entries_equal_the_per_table_references(self, n_x, n_theta, dealias, pe, de, dt):
+        plan = dynamics._plan(make_grid(n_x, n_theta), Params(pe=pe, de=de, dt=dt, dealias=dealias))
+        want = dict(reference_band(n_x, n_theta, dealias))
+        want.update(zip(("e_mixed", "e_full", "band_half", "band_dt_half"),
+                        reference_semigroup(n_x, n_theta, de, dt, dealias)))
+        want.update(zip(("a_lo", "a_hi"), reference_advection_symbols(n_x, n_theta, pe, dealias)))
+        assert plan.keys() == want.keys()
+        for key, value in want.items():
+            if key == "neg":
+                assert all(np.array_equal(a, b) for a, b in zip(plan[key], value, strict=True))
+            else:
+                assert np.array_equal(plan[key], value), key
+
+    def test_a_trajectory_and_its_residual_build_one_plan(self, grid8):
+        f0 = make_initial(SingleModeData(m=1.0, epsilon=0.5, mode=(1, 0, 0)), grid8)
+        params = Params(pe=0.3, de=1.0, dt=0.01)
+        dynamics._plan.cache_clear()
+        for _, coeffs, _ in dynamics.states(f0, params, 5):
+            pass
+        stationary_residual(coeffs, grid8, params)
+        info = dynamics._plan.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
 
 FFT_CALLS = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
