@@ -36,6 +36,7 @@ from .errors import (
     NumericalBlowup,
     ParseError,
     WindowTooShort,
+    number,
 )
 from .grid import Field3, make_initial
 from .spectral import poincare_constant, synthesize
@@ -176,7 +177,8 @@ def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
 def _cut_csv(csv_path: str, k_max: int, step: int) -> float:
     """Cut diagnostics.csv back to a checkpoint's step, unless it ends there,
     through replace_file (an interruption leaves the old rows or the cut
-    ones); return its l2_to_const."""
+    ones); return its l2_to_const, a finite number (errors.number) or
+    ParseError before any write."""
     try:
         with open(csv_path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
@@ -189,7 +191,8 @@ def _cut_csv(csv_path: str, k_max: int, step: int) -> float:
             f"from checkpoint step {step}; found {len(lines)} lines"
         )
     try:
-        l2 = float(lines[step + 1].split(",")[CSV_SCALARS.index("l2_to_const")])
+        cell = lines[step + 1].split(",")[CSV_SCALARS.index("l2_to_const")]
+        l2 = number(float(cell), f"{csv_path}: l2_to_const of step {step}")
     except (IndexError, ValueError) as exc:
         raise ParseError(f"{csv_path}: malformed row for step {step}") from exc
     kept = "\n".join(lines[: step + 2]) + "\n"  # header, rows

@@ -9,7 +9,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import NegativeField, NonpositiveValue, ParseError, TooFewPoints, WindowTooShort
+from .errors import (NegativeField, NonpositiveValue, ParseError, TooFewPoints,
+                     WindowTooShort, integer, number)
 from .grid import TWO_PI, Field3, GridSpec
 from .spectral import _cache, forward, synthesize
 
@@ -143,7 +144,8 @@ class TruncationReducer:
     the sup of the truncated L2 energy, the left-endpoint time integral of the
     masked gradient energy, and the last snapshot's masked gradient energy,
     which waits for the next dt. state() is JSON-ready and resumes via `state`,
-    which must hold its six keys as JSON loads them, else ParseError.
+    which must hold its six keys as JSON loads them, every number finite,
+    else ParseError.
 
     As grad (f - C_k)_+ = 1{f > C_k} grad f, add classes the held levels by
     the snapshot's range: one at or above max f adds 0.0 with no array work,
@@ -161,8 +163,7 @@ class TruncationReducer:
         n = k_max + 1
         s = state if state is not None else dict(
             count=0, first=None, last=None, sup=[0.0] * n, grad=[0.0] * n, pending=[None] * n)
-        if not _is_state(s, n):
-            raise ParseError(f"truncation state is not a ladder state of {n} levels")
+        _check_state(s, n)
         self.count, self.first, self.last = s["count"], s["first"], s["last"]
         self.sup, self.grad, self.pending = s["sup"][:], s["grad"][:], s["pending"][:]
 
@@ -235,19 +236,19 @@ class TruncationReducer:
         )
 
 
-def _is_state(s, n: int) -> bool:
-    """Whether s is a state() of n levels as JSON loads it: a count >= 0, first
-    and last numbers or null, n numbers in sup and grad, n numbers or nulls in
-    pending. No bool counts as a number."""
-    def numbers(xs, null=False):
-        return all(type(x) in (int, float) or (null and x is None) for x in xs)
-
+def _check_state(s, n: int) -> None:
+    """ParseError unless s is a state() of n levels as JSON loads it: a count
+    >= 0 (errors.integer), first and last numbers or null, n numbers in sup
+    and grad, n numbers or nulls in pending (errors.number: finite, no bool)."""
     levels = ("sup", "grad", "pending")
-    return (type(s) is dict and set(s) == {"count", "first", "last", *levels}
-            and type(s["count"]) is int and s["count"] >= 0
-            and numbers((s["first"], s["last"]), null=True)
-            and all(type(s[k]) is list and len(s[k]) == n for k in levels)
-            and numbers(s["sup"] + s["grad"]) and numbers(s["pending"], null=True))
+    if not (type(s) is dict and set(s) == {"count", "first", "last", *levels}
+            and all(type(s[k]) is list and len(s[k]) == n for k in levels)):
+        raise ParseError(f"truncation state is not a ladder state of {n} levels")
+    integer(s["count"], "truncation.count", nonnegative=True)
+    for key in ("first", "last", *levels):
+        for x in s[key] if key in levels else (s[key],):
+            if x is not None or key in ("sup", "grad"):
+                number(x, f"truncation.{key}")
 
 
 def _spectral_grads(coeffs: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, ...]:

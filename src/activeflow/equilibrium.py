@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagnostics import fit_decay_rate, l2_to_const
 from .dynamics import rhs_hat, states, step_count
-from .errors import AdmissibilityViolation, NotConverged, TooFewPoints
+from .errors import AdmissibilityViolation, NotConverged, TooFewPoints, ValidationError
 from .grid import TWO_PI, Field3, GridSpec, Params, check_admissible
 from .spectral import _cache, poincare_constant
 
@@ -40,13 +40,20 @@ def kappa(params: Params, m: float, c_p: float) -> float:
 
     kappa = ((min(de,1) / (2 c_p^2)) - (2 pi)^2 pe^2 (1+m)^2 / min(de,1)) / 2.
     May be negative at large Peclet number; callers gate on the threshold.
+    ValidationError, naming params.pe, if it is too large for a finite kappa.
     """
     if c_p <= 0:
         raise ValueError("c_p must be positive")
     dmin = min(params.de, 1.0)
-    return 0.5 * (
-        0.5 * dmin / c_p**2 - TWO_PI**2 * params.pe**2 * (1.0 + m) ** 2 / dmin
-    )
+    try:
+        value = 0.5 * (
+            0.5 * dmin / c_p**2 - TWO_PI**2 * params.pe**2 * (1.0 + m) ** 2 / dmin
+        )
+    except OverflowError:  # float ** raises where * and / give inf
+        value = -math.inf
+    if not math.isfinite(value):  # m may be a numpy float: errors.number would refuse it
+        raise ValidationError(f"params.pe: kappa at pe {params.pe!r} is not finite")
+    return value
 
 
 def peclet_threshold(params: Params, m: float, c_p: float) -> float:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a number
+read from outside it (config, checkpoint header, ladder state, CSV cell)."""
+
+import sys
 
 
 class ActiveFlowError(Exception):
@@ -59,7 +62,8 @@ class IterationStall(ActiveFlowError):
 
 
 class ParseError(ActiveFlowError):
-    """Config file is not valid JSON or a field has the wrong type."""
+    """An input file is not valid, or a field has the wrong type or, outside
+    the config, a value no run writes."""
 
 
 class ValidationError(ActiveFlowError):
@@ -68,3 +72,24 @@ class ValidationError(ActiveFlowError):
 
 class CheckpointMismatch(ActiveFlowError):
     """Checkpoint was produced by a different configuration."""
+
+
+def number(value, name: str, bad=ParseError) -> float:
+    """value as a float if it is a finite JSON number. A bool or any other
+    type is a ParseError; NaN, +-Infinity or an int too large for a float is
+    a `bad` one."""
+    if type(value) not in (int, float):  # a JSON bool loads as bool, not int
+        raise ParseError(f"{name}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # False for NaN too
+        raise bad(f"{name}: must be finite, got {value!r}")
+    return float(value)
+
+
+def integer(value, name: str, bad=ParseError, nonnegative=False) -> int:
+    """value if it is a JSON integer, >= 0 with nonnegative. A bool or any
+    other type is a ParseError; a negative one, with nonnegative, a `bad` one."""
+    if type(value) is not int:
+        raise ParseError(f"{name}: expected an integer, got {value!r}")
+    if nonnegative and value < 0:
+        raise bad(f"{name}: must be >= 0, got {value}")
+    return value

@@ -9,23 +9,22 @@ state and the run's step-0 mass and cfl_dt_initial as JSON floats (repr
 round-trips exactly) and a crc32 that seals the header with the payload, so
 a resumed run continues byte-identically or not at all. Every file a run
 writes goes through replace_file: a ".tmp" sibling moved into place with
-os.replace, so an interrupted write leaves no partial file. All of it is
-written on the stepping thread, in step order, so a checkpoint reaches disk
-only after every output up to its step.
+os.replace, so an interrupted write leaves no partial file, and a failed one
+no ".tmp" either. All of it is written on the stepping thread, in step
+order, so a checkpoint reaches disk only after every output up to its step.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import zlib
 
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .errors import CheckpointMismatch, ParseError
+from .errors import CheckpointMismatch, ParseError, integer, number
 from .grid import Field3, GridSpec, Params
 
 FORMAT_VERSION = 1
@@ -52,10 +51,15 @@ def replace_file(path: str, *chunks) -> None:
     """Write the chunks (bytes, or C-contiguous arrays written from their own
     buffers) to path + ".tmp", then os.replace it: path is whole or absent."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:  # a failed write or rename leaves no path.tmp either
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _write_file(path: str, header: dict, payload: np.ndarray) -> None:
@@ -136,10 +140,10 @@ def load_checkpoint(out_dir: str, config_hash: str):
     or None: with diagnostics.csv, all a resume reads.
 
     CheckpointMismatch for another format (1 to 3 included) or config;
-    ParseError if corrupt (the crc32 does not match the header and payload),
-    if step is not a JSON integer >= 0, or if mass and cfl_dt_initial are not
-    finite JSON numbers, cfl_dt_initial > 0. The truncation state is checked
-    against the config by its consumer, diagnostics.TruncationReducer.
+    ParseError if corrupt (the crc32 does not match the header and payload)
+    or if errors.integer refuses step (>= 0) or errors.number mass or
+    cfl_dt_initial (> 0 too). The truncation state is checked against the
+    config by its consumer, diagnostics.TruncationReducer.
     """
     path = os.path.join(out_dir, CHECKPOINT_NAME)
     if not os.path.exists(path):
@@ -161,10 +165,10 @@ def load_checkpoint(out_dir: str, config_hash: str):
         truncation, mass, cfl0 = header["truncation"], header["mass"], header["cfl_dt_initial"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed checkpoint header ({exc!r})") from exc
-    if type(step) is not int or step < 0:  # a JSON bool loads as bool, not int
-        raise ParseError(f"{path}: step {step!r} is not an integer >= 0")
-    if not all(type(v) in (int, float) and math.isfinite(v) for v in (mass, cfl0)) or cfl0 <= 0:
-        raise ParseError(f"{path}: bad step-0 mass {mass!r} or cfl_dt_initial {cfl0!r}")
+    step = integer(step, f"{path}: step", nonnegative=True)
+    mass, cfl0 = number(mass, f"{path}: mass"), number(cfl0, f"{path}: cfl_dt_initial")
+    if cfl0 <= 0:
+        raise ParseError(f"{path}: cfl_dt_initial {cfl0!r} is not > 0")
     shape = (grid.n_x, grid.n_x, grid.n_theta // 2 + 1)
     expected = 16 * shape[0] * shape[1] * shape[2]
     if len(payload) != expected:

@@ -1,10 +1,14 @@
 import contextlib
+import copy
+import errno
 import functools
 import io
+import itertools
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import activeflow
-from activeflow import cli, config, dynamics
+from activeflow import cli, config, dynamics, storage
 from activeflow.cli import cmd_simulate, main
 from activeflow.config import load_config, parse_config
 from activeflow.diagnostics import _spectral_grads as spectral_grads
@@ -28,6 +32,7 @@ from activeflow.errors import NotConverged, ParseError, ValidationError
 from activeflow.grid import Params, make_grid, make_initial
 from activeflow.storage import (
     CHECKPOINT_NAME,
+    CSV_SCALARS,
     csv_header,
     csv_row,
     read_snapshot,
@@ -98,6 +103,13 @@ def header_edit(reseal=True, **fields):
     return edited
 
 
+# JSON's NaN, Infinity and -Infinity, as json.loads reads them
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+# a well-formed ladder state of the window run's 4 levels (truncation k_max 3)
+LADDER = {"count": 3, "first": 0.0, "last": 0.06, "sup": [0.1, 0.0, 0.0, 0.0],
+          "grad": [0.2, 0.0, 0.0, 0.0], "pending": [0.3, None, None, None]}
+
 # the keys of a checkpoint header
 HEADER_KEYS = {"byte_order", "cfl_dt_initial", "checkpoint", "config_hash", "crc32",
                "element_type", "format_version", "layout", "mass", "n_theta", "n_x",
@@ -158,6 +170,69 @@ def checkpoint_then_exit(*args):
 storage.write_snapshot, cli.write_checkpoint = slow_snapshot, checkpoint_then_exit
 cli.main(["simulate", "--config", sys.argv[1]])
 """
+
+
+# The files a run writes, by the name it opens them under: each file
+# storage.replace_file writes (as its ".tmp" sibling) and the CSV it appends to.
+WRITTEN = {"snapshot": r"snap_\d+\.bin\.tmp", "checkpoint": r"checkpoint\.bin\.tmp",
+           "csv cut": r"diagnostics\.csv\.tmp", "summary": r"summary\.json\.tmp",
+           "csv append": r"diagnostics\.csv"}
+# (target, how): a failed write, or for a replace_file target a failed os.replace
+FAULTS = [*((target, "write") for target in WRITTEN),
+          *((target, "replace") for target in WRITTEN if target != "csv append")]
+
+
+class FailingFile:
+    """A file whose write, when fails(its name) holds, puts down the chunk's
+    first element and raises OSError."""
+
+    def __init__(self, fh, fails):
+        self.fh, self.fails = fh, fails
+
+    def write(self, data):
+        if not self.fails(self.fh.name):
+            return self.fh.write(data)
+        self.fh.write(data[:1])
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@contextlib.contextmanager
+def failing_write(target, how, index):
+    """Fail the index-th write call to target's files (each chunk counts), or
+    the index-th os.replace onto one; yields a list, non-empty once it has."""
+    fired, calls = [], itertools.count()
+    real_open, real_replace = open, os.replace
+
+    def due(path, pattern):
+        if re.fullmatch(pattern, os.path.basename(path)) and next(calls) == index:
+            fired.append(path)
+            return True
+        return False
+
+    def opened(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if how == "write" and "r" not in mode:
+            return FailingFile(fh, lambda name: due(name, WRITTEN[target]))
+        return fh
+
+    def replaced(src, dst):
+        if how == "replace" and due(dst, WRITTEN[target].removesuffix(r"\.tmp")):
+            raise OSError(errno.EIO, "rename failed")
+        real_replace(src, dst)
+
+    with mock.patch.object(storage, "open", opened, create=True), \
+            mock.patch.object(cli, "open", opened, create=True), \
+            mock.patch.object(os, "replace", replaced):
+        yield fired
 
 
 class TestConfigParsing:
@@ -549,6 +624,39 @@ class TestSimulateCommand:
             assert summary.read_bytes() == old
         else:
             assert not summary.exists()
+        assert not list((tmp_path / "sum").glob("*.tmp"))
+
+    @settings(max_examples=15, deadline=None)
+    @given(faults=st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, 20)),
+                           min_size=1, max_size=3))
+    # each (target, how) fails once in these: checkpoints at steps 5 and 10 of
+    # 12, and a rerun past a checkpoint cuts the CSV back to it
+    @example(faults=[(("snapshot", "write"), 9), (("csv cut", "replace"), 0),
+                     (("csv append", "write"), 3)])
+    @example(faults=[(("checkpoint", "write"), 3), (("csv cut", "write"), 0),
+                     (("checkpoint", "replace"), 0)])
+    @example(faults=[(("snapshot", "replace"), 6), (("summary", "replace"), 0),
+                     (("summary", "write"), 0)])
+    def test_failed_write_leaves_no_tmp_and_reruns(self, faults):
+        # runs in which one write fails, each on what the last one left: a
+        # run whose write failed exits 2 with a JSON error, none leaves a
+        # *.tmp, and a clean rerun ends with the uninterrupted run's files
+        with tempfile.TemporaryDirectory() as tmp:
+            out = pathlib.Path(tmp) / "out"
+            path = write_config(pathlib.Path(tmp), window_doc(str(out)))
+            for (target, how), index in faults:
+                err = io.StringIO()
+                with failing_write(target, how, index) as fired, \
+                        contextlib.redirect_stderr(err):
+                    rc = main(["simulate", "--config", path])
+                if fired:
+                    assert rc == 2
+                    assert json.loads(err.getvalue())["error"]["kind"] == "OSError"
+                else:
+                    assert rc == 0
+                assert not list(out.glob("*.tmp"))
+            assert main(["simulate", "--config", path]) == 0
+            assert output_files(str(out)) == uninterrupted_window_run()
 
     def test_resume_refuses_short_csv(self, tmp_path, capsys):
         doc = base_doc(output_dir=str(tmp_path / "sh"), t_end=1.0)
@@ -561,6 +669,24 @@ class TestSimulateCommand:
         assert err["error"]["kind"] == "ParseError"
         assert csv_path.read_text() == ""
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_cell_refused(self, tmp_path, capsys, cell):
+        # a final-step rerun takes the summary's final_l2_to_const from the
+        # CSV's last row: a non-finite one is refused, and no file touched
+        out = tmp_path / "done"
+        path = write_config(tmp_path, window_doc(str(out), checkpoint_every=4))
+        assert main(["simulate", "--config", path]) == 0
+        csv = out / "diagnostics.csv"
+        *rows, last = csv.read_text().splitlines()
+        cells = last.split(",")
+        cells[CSV_SCALARS.index("l2_to_const")] = cell
+        csv.write_text("\n".join([*rows, ",".join(cells)]) + "\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["simulate", "--config", path]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], "l2_to_const" in err["message"]) == ("ParseError", True)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def _damaged_checkpoint(self, tmp_path, capsys, damage, **overrides):
         """Exit code and error kind of a resume from a damaged checkpoint,
         which leaves every other file in output_dir as it was."""
@@ -572,10 +698,6 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", write_config(tmp_path, doc)])
         assert output_files(doc["output_dir"]) == before
         return rc, json.loads(capsys.readouterr().err)["error"]["kind"]
-
-    # a well-formed ladder state of the window run's 4 levels (truncation k_max 3)
-    LADDER = {"count": 3, "first": 0.0, "last": 0.06, "sup": [0.1, 0.0, 0.0, 0.0],
-              "grad": [0.2, 0.0, 0.0, 0.0], "pending": [0.3, None, None, None]}
 
     @pytest.mark.parametrize("edit,overrides", [
         ({"step": -5}, {}),
@@ -595,6 +717,12 @@ class TestSimulateCommand:
         ({"truncation": dict(LADDER, sup=[None] * 4)}, {}),
         ({"truncation": dict(LADDER, pending="xxxx")}, {}),
         ({"truncation": LADDER}, {"diagnostics": {"k_max": 4}}),  # no window
+        # NaN, Infinity and -Infinity in the step and in every ladder number
+        *(({"step": value}, {}) for value in NON_FINITE),
+        *(({"truncation": dict(LADDER, **{key: value})}, {})
+          for key in ("count", "first", "last") for value in NON_FINITE),
+        *(({"truncation": dict(LADDER, **{key: [0.0, 0.0, value, 0.0]})}, {})
+          for key in ("sup", "grad", "pending") for value in NON_FINITE),
     ])
     def test_bad_resume_fields_refused(self, tmp_path, capsys, edit, overrides):
         # resealed, so the crc32 passes: the header's step and ladder state
@@ -609,7 +737,7 @@ class TestSimulateCommand:
         doc = window_doc(str(tmp_path / "ok"))
         assert cmd_simulate(parse_config(doc), stop_after_steps=7) == 0
         path = tmp_path / "ok" / CHECKPOINT_NAME
-        path.write_bytes(header_edit(truncation=self.LADDER)(path.read_bytes()))
+        path.write_bytes(header_edit(truncation=LADDER)(path.read_bytes()))
         assert cmd_simulate(parse_config(doc)) == 0
 
     def test_corrupt_checkpoint_refused(self, tmp_path, capsys):
@@ -667,7 +795,9 @@ class TestSimulateCommand:
           for value in ("1.0", None, math.nan, math.inf, -math.inf, True, False, [])),
         ("cfl_dt_initial", 0.0),
         ("cfl_dt_initial", -0.01),
-    ])
+        ("mass", 10**400),
+        ("cfl_dt_initial", 10**400),
+    ], ids=lambda v: "10**400" if v == 10**400 else None)
     def test_bad_step0_constants_refused(self, tmp_path, capsys, key, value):
         damage = header_edit(**{key: value})
         assert self._damaged_checkpoint(tmp_path, capsys, damage) == (2, "ParseError")
@@ -758,6 +888,51 @@ class TestSimulateCommand:
         assert ("seed" if seed < 0 else "max_mode") in err["message"]
         assert not (tmp_path / "rb").exists()
 
+    # every number a config holds: (initial data kind, path, an integer?)
+    CONFIG_NUMBERS = [
+        *(("single_mode", path, integer) for path, integer in [
+            (("grid", "n_x"), True), (("grid", "n_theta"), True),
+            (("params", "pe"), False), (("params", "de"), False), (("params", "dt"), False),
+            (("initial", "m"), False), (("initial", "epsilon"), False),
+            (("initial", "mode", 0), True), (("initial", "mode", 1), True),
+            (("initial", "mode", 2), True),
+            (("t_end",), False), (("snapshot_stride",), True), (("checkpoint_every",), True),
+            (("diagnostics", "k_max"), True), (("diagnostics", "tail_threshold"), False),
+            (("diagnostics", "truncation", "window", 0), False),
+            (("diagnostics", "truncation", "window", 1), False),
+            (("diagnostics", "truncation", "k_max"), True),
+        ]),
+        *(("random_bandlimited", ("initial", key), key in ("max_mode", "seed"))
+          for key in ("m", "epsilon", "max_mode", "seed")),
+        ("constant", ("initial", "m"), False),
+    ]
+
+    # NaN, Infinity and true in every field, and where a float belongs an
+    # integer too large for one
+    @pytest.mark.parametrize("kind,path,integer,value", [
+        (kind, path, integer, value) for kind, path, integer in CONFIG_NUMBERS
+        for value in (math.nan, math.inf, True, *(() if integer else (10**400,)))
+    ], ids=lambda v: ".".join(map(str, v)) if type(v) is tuple else
+       "10**400" if v == 10**400 else None)
+    def test_config_number_checked(self, tmp_path, capsys, kind, path, integer, value):
+        # as JSON text: a wrong type (a bool, or a float where an integer
+        # belongs) is a ParseError, a number that is not finite as a float a
+        # ValidationError, named by its path, before output_dir is made
+        doc = copy.deepcopy(base_doc(
+            output_dir=str(tmp_path / "out"), snapshot_stride=5, checkpoint_every=10,
+            initial=dict(INITIAL, constant={"kind": "constant", "m": 1.0})[kind],
+            diagnostics={"k_max": 4, "tail_threshold": 0.25,
+                         "truncation": {"window": [0.1, 0.4], "k_max": 3}},
+        ))
+        functools.reduce(lambda obj, key: obj[key], path[:-1], doc)[path[-1]] = value
+        rc = main(["simulate", "--config", write_config(tmp_path, doc)])
+        err = json.loads(capsys.readouterr().err)["error"]
+        expected = "ParseError" if integer or value is True else "ValidationError"
+        name = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
+        assert (rc, err["kind"]) == (2, expected)
+        assert err["message"].startswith(f"{name}: ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "decay"])
     @pytest.mark.parametrize("dt", [1e-5, "auto"])
     def test_infinite_step_count_exit_code(self, tmp_path, capsys, command, dt):
@@ -775,6 +950,22 @@ class TestSimulateCommand:
         assert "step count" in err["message"]
         assert captured.out == ""
         assert not (tmp_path / "huge").exists()
+
+    @pytest.mark.filterwarnings("ignore:time step exceeds the advective CFL bound")
+    @pytest.mark.parametrize("command", ["simulate", "decay"])
+    @pytest.mark.parametrize("pe", [1e154, 1e200])
+    def test_kappa_overflow_exit_code(self, tmp_path, capsys, command, pe):
+        # (2 pi)^2 pe^2 is inf at pe 1e154, an OverflowError at 1e200: kappa
+        # refuses both, naming params.pe
+        doc = base_doc(grid={"n_x": 8, "n_theta": 8}, t_end=0.0,
+                       params={"pe": pe, "de": 1.0, "dt": 0.01},
+                       output_dir=str(tmp_path / "pe"))
+        rc = main([command, "--config", write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)["error"]
+        assert (rc, err["kind"]) == (2, "ValidationError")
+        assert err["message"].startswith("params.pe: ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("k_max", [-1, -3, 9, 10**9])
     def test_truncation_k_max_range(self, k_max):
@@ -1000,3 +1191,16 @@ class TestVerifyCommand:
         assert [int(line.split()[1]) for line in lines] == list(range(1, 11))
         assert lines[4].startswith("[FAIL]  5 ")
         assert "TooFewPoints: need >= 10 snapshots, got 6" in lines[4]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_kappa_overflow_is_a_fail_line(self, tmp_path, capsys):
+        # pe 1e200 overflows kappa in criterion 4: a FAIL line, not a traceback
+        doc = base_doc(output_dir=str(tmp_path / "v"), grid={"n_x": 8, "n_theta": 8},
+                       params={"pe": 1e200, "de": 1.0, "dt": 0.01})
+        rc = main(["verify", "--config", write_config(tmp_path, doc)])
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[")]
+        assert rc == 1
+        assert [int(line.split()[1]) for line in lines] == list(range(1, 11))
+        assert lines[3].startswith("[FAIL]  4 ")
+        assert "ValidationError: params.pe: " in lines[3]

@@ -21,7 +21,7 @@ from activeflow import (
 )
 from activeflow.dynamics import states, step_count
 from activeflow.equilibrium import marginal_deviation
-from activeflow.errors import NotConverged, TooFewPoints
+from activeflow.errors import NotConverged, TooFewPoints, ValidationError
 from activeflow.spectral import forward
 from checks_reference import spatial_average_decay as trajectory_average_decay
 from conftest import field_from, random_field
@@ -69,6 +69,12 @@ class TestKappa:
         assert kappa(_p(0.02, de=4.0), m=0.1, c_p=1.0) == pytest.approx(
             kappa(_p(0.02, de=1.0), m=0.1, c_p=1.0), rel=1e-15
         )
+
+    @pytest.mark.parametrize("pe", [1e154, -1e154, 1e200])
+    def test_overflow_names_pe(self, pe):
+        # pe**2 * (2 pi)^2 is inf at 1e154; pe**2 raises OverflowError at 1e200
+        with pytest.raises(ValidationError, match=r"^params\.pe: "):
+            kappa(_p(pe), m=1.0, c_p=1.0)
 
 
 class TestPecletThreshold:
