@@ -4,8 +4,8 @@ Subcommands: simulate, verify, decay, stationary, oracle-compare. All of them
 take a single --config JSON path; the config owns every physical and numerical
 setting so runs are reproducible artifacts. Exit codes: 0 ok, 1 verification
 failure, 2 any other error (a config value out of range, an I/O failure such
-as an output_dir that cannot be made, a blowup, a refused checkpoint), with a
-machine-readable JSON error on stderr.
+as an output_dir that cannot be made, a blowup, a refused checkpoint), with
+stderr exactly one JSON error object.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,19 +53,20 @@ from .storage import (
 from .verification import FAIL, oracle_equivalence, run_all
 
 
-def _json_safe(value):
+def _json_safe(value, key=None):
+    """value with its non-finite floats as null, where that is legitimate:
+    only decay's measured_rate, NaN above the Peclet threshold and +inf for
+    constant data. Any other non-finite float is a NumericalBlowup naming
+    its key (exit 2, nothing on stdout)."""
     if isinstance(value, float) and not math.isfinite(value):
+        if key != "measured_rate":
+            raise NumericalBlowup(f"report value {key!r} is not finite: {value!r}")
         return None
     if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
+        return {k: _json_safe(v, k) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
+        return [_json_safe(v, key) for v in value]
     return value
-
-
-def _emit_error(kind: str, message: str, **extra) -> None:
-    payload = {"error": {"kind": kind, "message": message, **extra}}
-    print(json.dumps(_json_safe(payload)), file=sys.stderr)
 
 
 def cmd_simulate(config: RunConfig, stop_after_steps: int | None = None) -> int:
@@ -271,6 +273,13 @@ def cmd_oracle_compare(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    The warnings the command raises are collected. On exit 2 their message
+    texts go into the JSON error's warnings list, the one object on stderr;
+    on exit 0 and 1 they are issued again after the command, so they reach
+    stderr, or an in-process caller's filters, as raised.
+    """
     parser = argparse.ArgumentParser(
         prog="activeflow",
         description="Pseudo-spectral solver and verification harness for the "
@@ -296,13 +305,20 @@ def main(argv=None) -> int:
         "oracle-compare": cmd_oracle_compare,
     }
     try:
-        return handlers[args.command](load_config(args.config))
-    except NumericalBlowup as exc:
-        _emit_error("NumericalBlowup", str(exc), step=exc.step)
-        return 2
+        with warnings.catch_warnings(record=True) as caught:
+            return handlers[args.command](load_config(args.config))
     except (ActiveFlowError, OSError) as exc:
-        _emit_error(type(exc).__name__, str(exc))
+        error = {"kind": type(exc).__name__, "message": str(exc)}
+        if getattr(exc, "step", None) is not None:  # a blowup in a run loop
+            error["step"] = exc.step
+        error["warnings"] = [str(w.message) for w in caught]
+        caught.clear()  # in the JSON error, so not shown again below
+        print(json.dumps({"error": error}), file=sys.stderr)
         return 2
+    finally:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   source=w.source)
 
 
 if __name__ == "__main__":

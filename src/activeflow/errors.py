@@ -13,7 +13,8 @@ class AdmissibilityViolation(ActiveFlowError):
 
 
 class NumericalBlowup(ActiveFlowError):
-    """A time step produced non-finite values or runaway amplitude growth.
+    """A time step produced non-finite values or runaway amplitude growth,
+    or a report holds a non-finite number where none may be (cli._json_safe).
 
     Carries the failing step index when raised from a run loop.
     """
@@ -55,10 +56,6 @@ class NotConverged(ActiveFlowError):
         )
         self.t_max = t_max
         self.residual = residual
-
-
-class IterationStall(ActiveFlowError):
-    """Power iteration failed to converge within the iteration budget."""
 
 
 class ParseError(ActiveFlowError):

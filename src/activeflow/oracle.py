@@ -2,7 +2,7 @@
 
 Everything here is deliberately low-tech: centered finite differences in flux
 form, explicit Euler stepping, exact linear (zero-advection) solutions, and a
-dense power-iteration eigenvalue check for the Poincare constant. None of it
+dense symmetric eigen-solve for the Poincare constant. None of it
 shares discretization machinery with the main scheme beyond the field types.
 """
 
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import IterationStall, NumericalBlowup
+from .errors import NumericalBlowup
 from .grid import Field3, GridSpec, Params
 from .spectral import _cache, forward, inverse
 
@@ -103,34 +103,14 @@ def _dense_neg_laplacian(grid: GridSpec) -> np.ndarray:
     return mat
 
 
-def dense_poincare(grid: GridSpec, max_iter: int = 100_000) -> float:
-    """1/sqrt(lambda_1) from the dense operator, by shifted power iteration.
+def dense_poincare(grid: GridSpec) -> float:
+    """1/sqrt(lambda_1) from the dense operator, by a symmetric eigen-solve.
 
-    lambda_1 is the smallest nonzero eigenvalue of the negative spectral
-    Laplacian restricted to zero-mean vectors. Grids are capped at 8 points
-    per axis because the matrix is (n^3)^2.
+    lambda_1 is the smallest eigenvalue of the negative spectral Laplacian
+    above 1e-9: the zero eigenvalue belongs to the constants. Grids are
+    capped at 8 points per axis because the matrix is (n^3)^2.
     """
     if grid.n_x > 8 or grid.n_theta > 8:
         raise ValueError("dense_poincare grids are limited to 8 points per axis")
-    mat = _dense_neg_laplacian(grid)
-    n_total = mat.shape[0]
-    sigma = 2.0 * (grid.n_x / 2) ** 2 + (grid.n_theta / 2) ** 2
-
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n_total)
-    v -= v.mean()
-    v /= np.linalg.norm(v)
-    lam_prev = math.inf
-    for _ in range(max_iter):
-        w = sigma * v - mat @ v
-        w -= w.mean()  # stay on the zero-mean subspace
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            raise IterationStall("power iteration collapsed to zero")
-        v = w / norm
-        mu = float(v @ (sigma * v - mat @ v))
-        lam = sigma - mu
-        if abs(lam - lam_prev) < 1e-13:
-            return 1.0 / math.sqrt(lam)
-        lam_prev = lam
-    raise IterationStall(f"no convergence after {max_iter} iterations")
+    eigs = np.linalg.eigvalsh(_dense_neg_laplacian(grid))
+    return 1.0 / math.sqrt(float(eigs[eigs > 1e-9].min()))

@@ -119,8 +119,9 @@ def poincare_constant(grid: GridSpec) -> float:
     """1/sqrt(lambda_1) with lambda_1 the smallest nonzero |k|^2 on the grid,
     which is one axis's smallest nonzero k^2: that axis's mode attains it.
 
-    Every admissible grid represents the modes |k| = 1, so this is 1.0; the
-    dense power-iteration oracle cross-checks the value on small grids.
+    Every admissible grid represents the modes |k| = 1, so this is 1.0;
+    oracle.dense_poincare, a dense symmetric eigen-solve, cross-checks the
+    value on small grids.
     """
     c = _cache(grid.n_x, grid.n_theta)
     squares = np.concatenate([c["k1"].ravel(), c["k3"].ravel()]) ** 2

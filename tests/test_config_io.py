@@ -559,10 +559,11 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", write_config(tmp_path, done)]) == 0
         assert (tmp_path / "stale" / "summary.json").exists()
         blowup = dict(done, params={"pe": 500.0, "de": 1.0, "dt": 0.5})
-        with pytest.warns(RuntimeWarning):
-            rc = main(["simulate", "--config", write_config(tmp_path, blowup, "b.json")])
+        rc = main(["simulate", "--config", write_config(tmp_path, blowup, "b.json")])
         assert rc == 2
-        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "NumericalBlowup"
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "NumericalBlowup"
+        assert error["warnings"] == [dynamics._CFL_WARNING]
         assert not (tmp_path / "stale" / "summary.json").exists()
 
     def test_blowup_rerun_leaves_no_stale_snapshots(self, tmp_path, capsys):
@@ -576,10 +577,11 @@ class TestSimulateCommand:
         (out / "snap_00000007.bin.tmp").write_bytes(b"partial")
         (out / "snap_notes.txt").write_text("kept")
         blowup = dict(done, params={"pe": 500.0, "de": 1.0, "dt": 0.5})
-        with pytest.warns(RuntimeWarning):
-            rc = main(["simulate", "--config", write_config(tmp_path, blowup, "b.json")])
+        rc = main(["simulate", "--config", write_config(tmp_path, blowup, "b.json")])
         assert rc == 2
-        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "NumericalBlowup"
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "NumericalBlowup"
+        assert error["warnings"] == [dynamics._CFL_WARNING]
         assert sorted(path.name for path in out.iterdir()) == [
             "diagnostics.csv", "snap_00000000.bin", "snap_notes.txt"]
         _, header = read_snapshot(str(out / "snap_00000000.bin"))
@@ -856,12 +858,30 @@ class TestSimulateCommand:
             t_end=50.0,
         )
         path = write_config(tmp_path, doc)
-        with pytest.warns(RuntimeWarning):
-            rc = main(["simulate", "--config", path])
+        rc = main(["simulate", "--config", path])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "NumericalBlowup"
         assert "step" in err["error"]
+        assert err["error"]["warnings"] == [dynamics._CFL_WARNING]
+
+    def test_exit_2_stderr_is_one_json_object(self, tmp_path):
+        # the CFL warning raised before kappa's refusal goes into the JSON
+        # error, not onto stderr ahead of it, in a real process
+        doc = base_doc(output_dir=str(tmp_path / "pe"), grid={"n_x": 8, "n_theta": 8},
+                       params={"pe": 1e200, "de": 1.0, "dt": 0.01}, t_end=0.0)
+        src = os.path.dirname(os.path.dirname(activeflow.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run(
+            [sys.executable, "-m", "activeflow.cli", "simulate", "--config",
+             write_config(tmp_path, doc)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 2
+        error = json.loads(child.stderr)["error"]
+        assert error["kind"] == "ValidationError"
+        assert error["warnings"] == [dynamics._CFL_WARNING]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         doc = base_doc(grid={"n_x": 7, "n_theta": 8})
@@ -1098,6 +1118,41 @@ class TestReportCommands:
         assert out["kappa"] == pytest.approx(0.25, rel=1e-12)
         assert out["measured_rate"] == pytest.approx(1.0, abs=1e-3)
         assert out["bound_satisfied"] is True
+
+    @pytest.mark.parametrize("pe, small, kappa", [
+        (1.0, "false", "-19.648684557216068"),  # above the threshold: NaN
+        (0.05, "true", "0.20025328860695982"),  # constant data: +inf
+    ])
+    def test_decay_non_finite_rate_is_null(self, tmp_path, capsys, pe, small, kappa):
+        doc = base_doc(grid={"n_x": 8, "n_theta": 8},
+                       params={"pe": pe, "de": 1.0, "dt": 0.01},
+                       initial={"kind": "constant", "m": 1.0}, t_end=0.0)
+        rc = main(["decay", "--config", write_config(tmp_path, doc)])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "{\n"
+            f'  "bound_satisfied": {small},\n'
+            '  "final_l2_to_const": 0.0,\n'
+            f'  "is_small_pe": {small},\n'
+            f'  "kappa": {kappa},\n'
+            '  "measured_rate": null,\n'
+            '  "threshold": 0.11208766462274858\n'
+            "}\n"
+        )
+
+    def test_unlisted_non_finite_value_exits_2(self, tmp_path, capsys, monkeypatch):
+        # only measured_rate may be null: a NaN residual is a program error
+        monkeypatch.setattr(cli, "solve_stationary",
+                            lambda f0, params, **kw: (f0, math.nan))
+        doc = base_doc(grid={"n_x": 8, "n_theta": 8})
+        rc = main(["stationary", "--config", write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["kind"] == "NumericalBlowup"
+        assert "'residual'" in error["message"]
+        assert "step" not in error  # no run loop failed
 
     def test_stationary_json_constant(self, tmp_path, capsys):
         doc = base_doc(

@@ -11,7 +11,6 @@ from activeflow import (
     make_grid,
     make_initial,
 )
-from activeflow.errors import IterationStall
 from activeflow.oracle import (
     dense_poincare,
     exact_linear_solution,
@@ -117,18 +116,21 @@ class TestDensePoincare:
     def test_four_cubed(self):
         assert dense_poincare(make_grid(4, 4)) == pytest.approx(1.0, abs=1e-8)
 
-    def test_against_dense_eigensolver(self):
-        # independent check of the power iteration: full dense spectrum
-        grid = make_grid(4, 4)
-        mat = _dense_neg_laplacian(grid)
-        eigs = np.linalg.eigvalsh(mat)
-        nonzero = eigs[eigs > 1e-9]
-        assert nonzero.min() == pytest.approx(1.0, abs=1e-10)
+    @pytest.mark.parametrize("n_x, n_theta", [(4, 4), (8, 8), (4, 8), (8, 4)])
+    def test_dense_spectrum_is_the_symbol(self, n_x, n_theta):
+        # the dense matrix's whole spectrum is k1^2 + k2^2 + k_theta^2 over
+        # every fftfreq wavenumber triple, zero mode included
+        grid = make_grid(n_x, n_theta)
+        kx = np.fft.fftfreq(n_x, 1.0 / n_x)
+        kt = np.fft.fftfreq(n_theta, 1.0 / n_theta)
+        symbol = (kx[:, None, None] ** 2 + kx[None, :, None] ** 2
+                  + kt[None, None, :] ** 2)
+        eigs = np.linalg.eigvalsh(_dense_neg_laplacian(grid))
+        assert np.abs(np.sort(eigs) - np.sort(symbol.ravel())).max() <= 1e-10
+
+    def test_anisotropic_grid(self):
+        assert dense_poincare(make_grid(4, 8)) == pytest.approx(1.0, abs=1e-8)
 
     def test_grid_cap(self):
         with pytest.raises(ValueError):
             dense_poincare(make_grid(16, 16))
-
-    def test_iteration_budget(self):
-        with pytest.raises(IterationStall):
-            dense_poincare(make_grid(8, 8), max_iter=3)
